@@ -8,6 +8,7 @@ model flags contact: a pinned backbone rotates about a different center.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,21 @@ class PoseSample:
     pose: PlanarPose
 
 
+class CentrodeTrace(NamedTuple):
+    """Centrode over a ramp as arrays; cx, cz are NaN where not valid."""
+
+    cx: np.ndarray
+    cz: np.ndarray
+    valid: np.ndarray
+
+    def points(self, t_index=None) -> list:
+        """The trace as CentrodePoints, t_index 0, 1, ... unless given."""
+        t = range(len(self.valid)) if t_index is None else t_index
+        return [CentrodePoint(x=x, z=z, valid=v, t_index=int(k))
+                for x, z, v, k in zip(self.cx.tolist(), self.cz.tolist(),
+                                      self.valid.tolist(), t)]
+
+
 def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
                    t_index: int = 0) -> CentrodePoint:
     """Instantaneous center of rotation in the fixed frame.
@@ -48,6 +64,15 @@ def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
     cx = pose.x + (-twist.vz) / twist.omega
     cz = pose.z + twist.vx / twist.omega
     return CentrodePoint(x=float(cx), z=float(cz), valid=True, t_index=t_index)
+
+
+def instant_centers(x, z, vx, vz, omega) -> CentrodeTrace:
+    """fixed_centrode over arrays of pose and twist components."""
+    valid = np.abs(omega) >= EPS_OMEGA
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.where(valid, x + (-vz) / omega, np.nan)
+        cz = np.where(valid, z + vx / omega, np.nan)
+    return CentrodeTrace(cx=cx, cz=cz, valid=valid)
 
 
 def _stencil_rates(values: np.ndarray, dt: float) -> np.ndarray:
@@ -77,14 +102,9 @@ def centrode_from_stream(samples) -> list:
     x = np.asarray([s.pose.x for s in samples])
     z = np.asarray([s.pose.z for s in samples])
     th = np.unwrap(np.asarray([s.pose.theta for s in samples]))
-    vx = _stencil_rates(x, dt)
-    vz = _stencil_rates(z, dt)
-    om = _stencil_rates(th, dt)
-    return [fixed_centrode(PlanarPose(x=x[k], z=z[k], theta=float(th[k])),
-                           PlanarTwist(vx=float(vx[k]), vz=float(vz[k]),
-                                       omega=float(om[k])),
-                           t_index=int(samples[k].t))
-            for k in range(len(samples))]
+    trace = instant_centers(x, z, _stencil_rates(x, dt), _stencil_rates(z, dt),
+                            _stencil_rates(th, dt))
+    return trace.points(t_index=[s.t for s in samples])
 
 
 def _aligned_deviations(c_a, c_b) -> np.ndarray:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 rank-deficient fit,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,12 +105,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _stream_ramp(stream) -> pl.PressureRamp:
-    q = np.asarray([s.q for s in stream])
-    step = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    return pl.PressureRamp(q_start=float(q[0]), q_end=float(q[-1]), step=step)
-
-
 def cmd_detect(args) -> int:
     try:
         model = _load_model(args.model)
@@ -117,17 +112,19 @@ def cmd_detect(args) -> int:
         if len(stream) < 3:
             raise ValueError("stream too short to difference (need >= 3)")
         sensed = ct.centrode_from_stream(stream)
+        # the model side at the stream's own pressures: the centrode does not
+        # depend on the pressure rate, so a non-uniform schedule is exact
+        q = np.asarray([s.q for s in stream])
+        model_trace = pl.model_centrode(model, q)
+        xi = args.xi
+        if xi is None:
+            # noise floor of differencing vs analytic centrode on a free run
+            free = pl.simulate_free(model, q)
+            xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
+        detection = ct.fcd_detect(sensed, model_trace, xi=xi, window=args.window)
     except (OSError, ValueError, KeyError) as e:
         print(f"detect: {e}", file=sys.stderr)
         return EXIT_IO
-    ramp = _stream_ramp(stream)
-    model_trace = pl.model_centrode(model, ramp)
-    xi = args.xi
-    if xi is None:
-        # noise floor of differencing vs analytic centrode on a free run
-        free = pl.simulate_free(model, ramp)
-        xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
-    detection = ct.fcd_detect(sensed, model_trace, xi=xi, window=args.window)
     ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed)
     ct.write_centrode(_out(args, "model_centrode.csv"), model_trace)
     q_at_onset = (float(stream[detection.onset_t].q)
@@ -193,6 +190,10 @@ def cmd_sweep(args) -> int:
         s_values = [float(v) for v in args.s_values.split(",") if v.strip()]
         if not s_values:
             raise ValueError("empty --s-values")
+        outside = [s for s in s_values if not 0.0 <= s < model.L]
+        if outside:
+            raise ValueError(f"--s-values {','.join(f'{s:g}' for s in outside)} "
+                             f"outside [0, {model.L:g})")
     except (OSError, ValueError, KeyError) as e:
         print(f"sweep: {e}", file=sys.stderr)
         return EXIT_IO
@@ -260,11 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser without --config defaults, built once per process:
+    in-process callers run a stage per call, and each build costs about
+    2 ms and leaves reference cycles that only a full collection frees."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # --config supplies defaults (and satisfies required flags); explicit
-    # command-line flags still win
+    # --config supplies defaults (and satisfies required flags) by rewriting
+    # the parser's, so it gets a parser of its own; explicit command-line
+    # flags still win
+    parser = build_parser() if "--config" in argv else _shared_parser()
     if "--config" in argv:
         try:
             cfg_path = argv[argv.index("--config") + 1]

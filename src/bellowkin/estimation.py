@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modal
-from .centrode import EPS_OMEGA, CentrodePoint
 from .contact import contact_tip_pose, freeze
 from .kinematics import DEFAULT_PANELS
 from .quadrature import panel_nodes
+from .ramp import hypothesis_centrode
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -84,38 +84,12 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
     poses and analytic twists along the ramp through the instant-center
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
-    scale-invariant).  Evaluation batches the whole ramp on one node grid;
-    it matches the per-sample contact_tip_pose / contact_tip_twist path.
+    scale-invariant).  Evaluation batches the whole ramp through
+    ramp.ramp_centrode; it matches the per-sample contact_tip_pose /
+    contact_tip_twist path.
     """
-    q = _ramp_values(q_traj)
-    if not (0.0 < s_c_hyp < model.L):
-        raise ValueError(f"s_c hypothesis outside (0, {model.L})")
-    contact = freeze(model, float(q[0]), float(s_c_hyp))
-    qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    base = contact.base_pose_c
-    th_off = modal.theta(model, contact.s_c, contact.q_c)
-    ell = model.L - contact.s_c
-    nodes, wts = panel_nodes(0.0, ell, n_panels)
-    b0 = modal.theta_grid(model, np.array([0.0, ell]), q)       # (2, m)
-    g0 = modal.dtheta_dq_grid(model, np.array([0.0, ell]), q)   # (2, m)
-    th = th_off + modal.theta_grid(model, nodes, q) - b0[0]     # (n, m)
-    g = modal.dtheta_dq_grid(model, nodes, q) - g0[0]
-    cos_t, sin_t = np.cos(th), np.sin(th)
-    x = base.x + wts @ cos_t
-    z = base.z + wts @ sin_t
-    vx = qdot * (wts @ (-sin_t * g))
-    vz = qdot * (wts @ (cos_t * g))
-    omega = qdot * (g0[1] - g0[0])
-    out = []
-    for k in range(len(q)):
-        if abs(omega[k]) < EPS_OMEGA:
-            out.append(CentrodePoint(x=float("nan"), z=float("nan"),
-                                     valid=False, t_index=k))
-        else:
-            out.append(CentrodePoint(x=float(x[k] - vz[k] / omega[k]),
-                                     z=float(z[k] + vx[k] / omega[k]),
-                                     valid=True, t_index=k))
-    return out
+    return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj),
+                               n_panels=n_panels).points()
 
 
 def _pair_mask(sensed, predicted) -> np.ndarray:

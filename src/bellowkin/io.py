@@ -28,7 +28,7 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """Rows of a headered CSV as (header, list of string tuples)."""
     with open(path, newline="") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        lines = [ln.rstrip("\r\n") for ln in f if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     header = lines[0].split(",")

@@ -8,14 +8,16 @@ prediction and the centrode machinery can detect and localize the pin.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import modal
-from .centrode import PoseSample, fixed_centrode
-from .contact import contact_tip_pose, freeze
-from .estimation import predicted_centrode
-from .kinematics import DEFAULT_PANELS, PlanarPose, tip_pose, tip_twist
+from .centrode import CentrodeTrace, PoseSample
+from .contact import freeze
+from .kinematics import DEFAULT_PANELS, PlanarPose
+from .ramp import (RampKinematics, hypothesis_centrode, ramp_centrode,
+                   ramp_kinematics)
 
 
 @dataclass(frozen=True)
@@ -49,21 +51,34 @@ class PressureRamp:
                    step=float(parts[2]))
 
 
-def simulate_free(model: modal.ModalModel, ramp: PressureRamp,
+def _pressures(ramp):
+    """Pressure samples of a PressureRamp or a 1-D pressure array, and the
+    pressure rate per sample step (the first step of an array)."""
+    if isinstance(ramp, PressureRamp):
+        return ramp.values, (ramp.step if ramp.q_end > ramp.q_start else 1.0)
+    q = np.asarray(ramp, dtype=float)
+    if q.ndim != 1 or q.size < 1:
+        raise ValueError("pressures must be a non-empty 1-D sequence")
+    return q, (float(q[1] - q[0]) if q.size > 1 else 1.0)
+
+
+def _pose_stream(q, kin: RampKinematics) -> list:
+    return [PoseSample(t=k, q=qk, pose=PlanarPose(x=x, z=z, theta=th))
+            for k, (qk, x, z, th) in enumerate(zip(
+                q.tolist(), kin.x.tolist(), kin.z.tolist(), kin.theta.tolist()))]
+
+
+def simulate_free(model: modal.ModalModel, ramp,
                   n_panels: int = DEFAULT_PANELS) -> list:
-    """Tip-pose stream of an unobstructed pressurization."""
-    import warnings
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, q in enumerate(ramp.values):
-            out.append(PoseSample(t=k, q=float(q),
-                                  pose=tip_pose(model, float(q),
-                                                n_panels=n_panels)))
-    return out
+    """Tip-pose stream of an unobstructed pressurization.
+
+    ramp is a PressureRamp or an array of pressures, one sample each.
+    """
+    q, _ = _pressures(ramp)
+    return _pose_stream(q, ramp_kinematics(model, q, n_panels=n_panels))
 
 
-def simulate_contact(model: modal.ModalModel, ramp: PressureRamp,
+def simulate_contact(model: modal.ModalModel, ramp,
                      s_c: float, q_c: float,
                      n_panels: int = DEFAULT_PANELS):
     """Tip-pose stream with a pin at s_c from pressure q_c onward.
@@ -74,18 +89,13 @@ def simulate_contact(model: modal.ModalModel, ramp: PressureRamp,
     if not (0.0 < s_c < model.L):
         raise ValueError(f"contact location outside (0, {model.L})")
     contact = freeze(model, float(q_c), float(s_c))
-    import warnings
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, q in enumerate(ramp.values):
-            q = float(q)
-            if q < q_c:
-                pose = tip_pose(model, q, n_panels=n_panels)
-            else:
-                pose = contact_tip_pose(model, contact, q, n_panels=n_panels)
-            out.append(PoseSample(t=k, q=q, pose=pose))
-    return out, contact
+    q, _ = _pressures(ramp)
+    free = q < q_c
+    cols = np.empty((len(RampKinematics._fields), q.size))
+    cols[:, free] = ramp_kinematics(model, q[free], n_panels=n_panels)
+    cols[:, ~free] = ramp_kinematics(model, q[~free], contact,
+                                     n_panels=n_panels)
+    return _pose_stream(q, RampKinematics(*cols)), contact
 
 
 def add_noise(samples, sigma_pos: float, sigma_ang: float, seed: int = 0) -> list:
@@ -101,21 +111,22 @@ def add_noise(samples, sigma_pos: float, sigma_ang: float, seed: int = 0) -> lis
     return out
 
 
-def model_centrode(model: modal.ModalModel, ramp: PressureRamp,
+def model_centrode(model: modal.ModalModel, ramp,
                    n_panels: int = DEFAULT_PANELS) -> list:
-    """Free-motion centrode trace from analytic twists along the ramp."""
-    import warnings
-    qdot = ramp.step if ramp.q_end > ramp.q_start else 1.0
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, q in enumerate(ramp.values):
-            q = float(q)
-            out.append(fixed_centrode(tip_pose(model, q, n_panels=n_panels),
-                                      tip_twist(model, q, qdot,
-                                                n_panels=n_panels),
-                                      t_index=k))
-    return out
+    """Free-motion centrode trace from analytic twists along the ramp
+    (a PressureRamp or an array of pressures)."""
+    q, qdot = _pressures(ramp)
+    return ramp_centrode(model, q, qdot=qdot, n_panels=n_panels).points()
+
+
+def _isa_index(model, q, free: CentrodeTrace, s_c: float, n_panels) -> float:
+    """Max distance between the contacted and the given free centrode."""
+    if s_c == 0.0:
+        return 0.0
+    pinned = hypothesis_centrode(model, s_c, q, n_panels=n_panels)
+    both = free.valid & pinned.valid
+    dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
+    return float(np.max(dist[both], initial=0.0))
 
 
 def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp, s_c: float,
@@ -125,30 +136,24 @@ def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp, s_c: float,
     s_c = 0 pins the clamped base itself: the backbone is unchanged and the
     two centrodes coincide, so the index is exactly zero.
     """
-    if s_c == 0.0:
-        return 0.0
-    free = model_centrode(model, ramp, n_panels=n_panels)
-    contacted = predicted_centrode(model, s_c, ramp.values, n_panels=n_panels)
-    best = 0.0
-    for f, c in zip(free, contacted):
-        if f.valid and c.valid:
-            best = max(best, float(np.hypot(c.x - f.x, c.z - f.z)))
-    return best
-
-
-def _sweep_worker(args):
-    model_json, ramp_tuple, s_c, n_panels = args
-    model = modal.ModalModel.from_json(model_json)
-    ramp = PressureRamp(*ramp_tuple)
-    return s_c, isa_sweep_index(model, ramp, s_c, n_panels=n_panels)
+    q, qdot = _pressures(ramp)
+    free = ramp_centrode(model, q, qdot=qdot, n_panels=n_panels)
+    return _isa_index(model, q, free, s_c, n_panels)
 
 
 def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values,
           jobs: int = 1, n_panels: int = DEFAULT_PANELS) -> list:
-    """ISA-difference index per contact location, in the given order."""
-    tasks = [(model.to_json(), (ramp.q_start, ramp.q_end, ramp.step),
-              float(s_c), n_panels) for s_c in s_values]
+    """ISA-difference index per contact location, in the given order.
+
+    The free centrode is computed once and shared by every location.
+    """
+    q, qdot = _pressures(ramp)
+    free = ramp_centrode(model, q, qdot=qdot, n_panels=n_panels)
+    s_values = [float(s_c) for s_c in s_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_sweep_worker, tasks))
-    return [_sweep_worker(t) for t in tasks]
+            vals = list(ex.map(_isa_index, repeat(model), repeat(q),
+                               repeat(free), s_values, repeat(n_panels)))
+    else:
+        vals = [_isa_index(model, q, free, s_c, n_panels) for s_c in s_values]
+    return list(zip(s_values, vals))

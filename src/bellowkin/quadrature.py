@@ -26,13 +26,6 @@ def panel_nodes(a: float, b: float, n_panels: int):
     return nodes, weights
 
 
-def integrate(fn, a: float, b: float, n_panels: int):
-    """Integral of a (vectorized) scalar or vector-valued fn over [a, b]."""
-    nodes, weights = panel_nodes(a, b, n_panels)
-    vals = np.asarray(fn(nodes))
-    return vals @ weights if vals.ndim == 1 else np.tensordot(vals, weights, axes=([-1], [0]))
-
-
 def cumulative_stations(theta_fn, stations):
     """Planar positions at the given arc stations from a tangent-angle field.
 

@@ -230,6 +230,14 @@ def test_pose_stream_csv_round_trip(tmp_path, reference_model):
         assert a.pose.theta == b.pose.theta
 
 
+def test_pose_stream_crlf_round_trip(tmp_path, reference_model):
+    samples = simulate_free(reference_model, PressureRamp(5.0, 6.0, 0.25))
+    path = tmp_path / "stream.csv"
+    write_pose_stream(path, samples)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_pose_stream(path) == samples
+
+
 def test_centrode_csv_round_trip(tmp_path):
     pts = [CentrodePoint(x=1.25, z=-3.5, valid=True, t_index=0),
            CentrodePoint(x=float("nan"), z=float("nan"), valid=False, t_index=1)]

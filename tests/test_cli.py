@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from bellowkin import centrode as ct
+from bellowkin import pipeline as pl
 from bellowkin.cli import main
 from bellowkin.io import read_csv
+from bellowkin.modal import ModalModel
 from tests.conftest import DATA_CSV
 
 
@@ -146,6 +149,42 @@ def test_sweep_monotone(workdir, tmp_path):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("s_values", ["0,600", "-5", "100,500"])
+def test_sweep_out_of_range_exit_1(workdir, tmp_path, capsys, s_values):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--model", workdir["model"], "--ramp", "5:20:0.05",
+                "--s-values", s_values, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: ") and err.count("\n") == 1
+    assert not out.exists()  # rejected before any work
+
+
+def test_detect_non_uniform_pressure(workdir, tmp_path):
+    # t stays uniform while q follows a quadratic schedule
+    with open(workdir["model"]) as f:
+        model = ModalModel.from_json(f.read())
+    q = 5.0 + 15.0 * np.linspace(0.0, 1.0, 301) ** 2
+    stream, _ = pl.simulate_contact(model, q, s_c=100.0, q_c=10.0)
+    path = tmp_path / "stream.csv"
+    ct.write_pose_stream(path, stream)
+    out = tmp_path / "det"
+    assert run(["detect", "--model", workdir["model"], "--stream", str(path),
+                "--out-dir", str(out)]) == 0
+    doc = json.load(open(out / "detection.json"))
+    assert doc["detected"] is True
+    assert doc["q_at_onset"] == pytest.approx(10.0, abs=0.5)
+
+
+def test_detect_crlf_stream(workdir, tmp_path):
+    src = os.path.join(workdir["sim"], "pose_stream.csv")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(open(src, "rb").read().replace(b"\n", b"\r\n"))
+    out = tmp_path / "det"
+    assert run(["detect", "--model", workdir["model"], "--stream", str(crlf),
+                "--out-dir", str(out)]) == 0
+    assert json.load(open(out / "detection.json"))["detected"] is True
+
+
 def test_config_file_supplies_flags(workdir, tmp_path):
     cfg = tmp_path / "cfg.json"
     out = str(tmp_path / "cfgout")
@@ -158,6 +197,8 @@ def test_config_file_supplies_flags(workdir, tmp_path):
     out2 = str(tmp_path / "cfgout2")
     assert run(["--config", str(cfg), "simulate", "--out-dir", out2]) == 0
     assert os.path.exists(os.path.join(out2, "pose_stream.csv"))
+    # config defaults do not outlive their call
+    assert run(["simulate", "--out-dir", str(tmp_path / "nocfg")]) == 1
 
 
 def test_config_unknown_key_exit_1(workdir, tmp_path):

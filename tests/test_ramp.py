@@ -1,0 +1,146 @@
+import math
+
+import numpy as np
+import pytest
+
+from bellowkin import modal, pipeline, ramp
+from bellowkin.centrode import fixed_centrode
+from bellowkin.contact import contact_tip_pose, contact_tip_twist, freeze
+from bellowkin.kinematics import PlanarPose, tip_pose, tip_twist, wrap_angle
+from bellowkin.modal import ModalModel
+from bellowkin.pipeline import PressureRamp
+from bellowkin.ramp import ramp_centrode, ramp_kinematics, wrap_angles
+from tests.conftest import make_random_model
+
+TOL_LU = 1e-12
+QDOT = 0.05
+
+
+def per_sample(model, q, contact):
+    """Poses, twists and centrodes of the scalar reference path."""
+    out = []
+    for qk in q:
+        qk = float(qk)
+        if contact is None:
+            pose, twist = tip_pose(model, qk), tip_twist(model, qk, QDOT)
+        else:
+            pose = contact_tip_pose(model, contact, qk)
+            twist = contact_tip_twist(model, contact, qk, QDOT)
+        out.append((pose, twist, fixed_centrode(pose, twist)))
+    return out
+
+
+def assert_matches(model, q, contact):
+    kin = ramp_kinematics(model, q, contact, qdot=QDOT)
+    trace = ramp_centrode(model, q, contact, qdot=QDOT)
+    ref = per_sample(model, q, contact)
+    assert len(kin.x) == len(trace.valid) == len(q)
+    for k, (pose, twist, c) in enumerate(ref):
+        assert abs(kin.x[k] - pose.x) <= TOL_LU
+        assert abs(kin.z[k] - pose.z) <= TOL_LU
+        assert abs(kin.theta[k] - pose.theta) <= 1e-12
+        assert abs(kin.vx[k] - twist.vx) <= TOL_LU
+        assert abs(kin.vz[k] - twist.vz) <= TOL_LU
+        assert abs(kin.omega[k] - twist.omega) <= 1e-12
+        assert bool(trace.valid[k]) == c.valid
+        if c.valid:
+            assert abs(trace.cx[k] - c.x) <= TOL_LU
+            assert abs(trace.cz[k] - c.z) <= TOL_LU
+        else:
+            assert math.isnan(trace.cx[k]) and math.isnan(trace.cz[k])
+
+
+@pytest.mark.parametrize("n", [1, 3, 151, 601])
+def test_free_ramp_matches_per_sample(reference_model, n):
+    assert_matches(reference_model, np.linspace(5.0, 20.0, n), None)
+
+
+@pytest.mark.parametrize("n", [1, 3, 151, 601])
+def test_contact_ramp_matches_per_sample(reference_model, n):
+    contact = freeze(reference_model, 5.0, 130.0)
+    assert_matches(reference_model, np.linspace(5.0, 20.0, n), contact)
+
+
+def test_tip_angle_wrapped_as_planar_pose():
+    # tip angles beyond pi: the kernel wraps them as PlanarPose does
+    model = make_random_model(np.random.default_rng(11), v=3, w=3,
+                              L=300.0, max_tip_angle=6.0)
+    q = np.linspace(0.0, 21.0, 211)
+    kin = ramp_kinematics(model, q)
+    raw = modal.theta_grid(model, [model.L], q)[0]
+    assert np.max(np.abs(raw)) > math.pi
+    for k, qk in enumerate(q):
+        assert kin.theta[k] == tip_pose(model, float(qk)).theta
+        assert -math.pi < kin.theta[k] <= math.pi
+
+
+def test_wrap_angles_bit_exact():
+    a = np.array([0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi,
+                  2 * math.pi, 1e-300, 7.5, -7.5, 1e6, -1e6, 123.456])
+    assert [float(x) for x in wrap_angles(a)] == [wrap_angle(float(x)) for x in a]
+    assert [float(x) for x in wrap_angles(a)] == \
+        [PlanarPose(x=0.0, z=0.0, theta=float(x)).theta for x in a]
+
+
+def test_invalid_samples_match_per_sample():
+    # dtheta/dq = (s/L) (2q - 20) vanishes at q = 10 for the free tip and
+    # for every contacted distal field: centers at infinity there
+    A = np.zeros((3, 3))
+    A[1, 1], A[1, 2] = -0.02, 0.001
+    model = ModalModel(A=A, L=400.0)
+    q = np.array([9.0, 9.5, 10.0, 10.5, 11.0])
+    for contact in (None, freeze(model, 9.0, 150.0)):
+        trace = ramp_centrode(model, q, contact, qdot=QDOT)
+        assert list(trace.valid) == [True, True, False, True, True]
+        assert_matches(model, q, contact)
+
+
+def test_contact_ramp_rejects_release(reference_model):
+    contact = freeze(reference_model, 10.0, 100.0)
+    with pytest.raises(ValueError, match="below contact onset"):
+        ramp_kinematics(reference_model, [9.0, 10.0], contact)
+
+
+def test_simulate_contact_splits_at_onset(reference_model):
+    r = PressureRamp(5.0, 8.0, 0.25)
+    samples, contact = pipeline.simulate_contact(reference_model, r, 120.0, 6.5)
+    for s in samples:
+        ref = (tip_pose(reference_model, s.q) if s.q < 6.5
+               else contact_tip_pose(reference_model, contact, s.q))
+        assert abs(s.pose.x - ref.x) <= TOL_LU
+        assert abs(s.pose.z - ref.z) <= TOL_LU
+        assert abs(s.pose.theta - ref.theta) <= 1e-12
+    assert [s.t for s in samples] == list(range(len(r.values)))
+
+
+def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
+    # regression guard: the free centrode is shared by every location, and
+    # each location adds a fixed number of field evaluations
+    grid_calls, free_calls = [], []
+    theta_grid, kernel = modal.theta_grid, ramp.ramp_kinematics
+
+    def counting_grid(*args, **kwargs):
+        grid_calls.append(1)
+        return theta_grid(*args, **kwargs)
+
+    def counting_kernel(model, q, contact=None, *args, **kwargs):
+        if contact is None:
+            free_calls.append(1)
+        return kernel(model, q, contact, *args, **kwargs)
+
+    monkeypatch.setattr(modal, "theta_grid", counting_grid)
+    monkeypatch.setattr(ramp, "ramp_kinematics", counting_kernel)
+    r = PressureRamp(5.0, 20.0, 0.05)
+    counts = []
+    for n in (1, 5, 9):
+        grid_calls.clear()
+        free_calls.clear()
+        s_values = np.linspace(40.0, 440.0, n)
+        rows = pipeline.sweep(reference_model, r, s_values)
+        assert [s for s, _ in rows] == list(s_values)
+        assert len(free_calls) == 1
+        counts.append(len(grid_calls))
+    per_location = (counts[1] - counts[0]) / 4
+    assert per_location >= 1
+    assert counts[2] - counts[1] == 4 * per_location
+    assert counts[0] - per_location == 1  # the one free evaluation
