@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .modal import DEFAULT_UNIT_SCALE, ModalModel, eta, psi, theta
 from .quadrature import cumulative_stations
@@ -207,8 +206,9 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
     """Solve the vectorized least-squares problem for the coefficient matrix.
 
     Stacks theta samples column-by-column and solves
-    (Gamma^T kron Omega) vec(A) = vec(theta) with a column-pivoted orthogonal
-    decomposition, with arc length normalized to s/L for conditioning.
+    (Gamma^T kron Omega) vec(A) = vec(theta) by an SVD-based least-squares
+    solve whose numerical rank is checked, with arc length normalized to s/L
+    for conditioning.
     Returns the fitted model and a residual report.
     """
     g, z = dataset.theta.shape
@@ -222,7 +222,7 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
 
     design = np.kron(gamma.T, omega)
     rhs = dataset.theta.ravel(order="F")
-    sol, _, rank, _ = scipy.linalg.lstsq(design, rhs, lapack_driver="gelsy")
+    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < v * w:
         raise RankDeficientError(f"design rank {rank} < {v * w}")
     A = sol.reshape(v, w, order="F")

@@ -170,10 +170,6 @@ def isa_difference(c_contact, c_free) -> np.ndarray:
     return _aligned_deviations(c_contact, c_free)
 
 
-def isa_summary(series: np.ndarray) -> float:
-    return float(np.nanmax(series))
-
-
 def default_threshold(c_sensed_free, c_model_free,
                       factor: float = DEFAULT_XI_FACTOR,
                       percentile: float = DEFAULT_XI_PERCENTILE) -> float:

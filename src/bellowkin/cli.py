@@ -112,14 +112,18 @@ def cmd_detect(args) -> int:
         if len(stream) < 3:
             raise ValueError("stream too short to difference (need >= 3)")
         sensed = ct.centrode_from_stream(stream)
-        # the model side at the stream's own pressures: the centrode does not
-        # depend on the pressure rate, so a non-uniform schedule is exact
+        # the model side at the stream's own pressures, numbered by the
+        # stream's own t: the centrode does not depend on the pressure rate,
+        # so a non-uniform schedule is exact
         q = np.asarray([s.q for s in stream])
-        model_trace = pl.model_centrode(model, q)
+        t = [s.t for s in stream]
+        model_trace = pl.model_centrode(model, q, t_index=t)
         xi = args.xi
         if xi is None:
             # noise floor of differencing vs analytic centrode on a free run
-            free = pl.simulate_free(model, q)
+            # sampled at the stream's t
+            free = [ct.PoseSample(t=tk, q=f.q, pose=f.pose)
+                    for tk, f in zip(t, pl.simulate_free(model, q))]
             xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
         detection = ct.fcd_detect(sensed, model_trace, xi=xi, window=args.window)
     except (OSError, ValueError, KeyError) as e:
@@ -127,7 +131,7 @@ def cmd_detect(args) -> int:
         return EXIT_IO
     ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed)
     ct.write_centrode(_out(args, "model_centrode.csv"), model_trace)
-    q_at_onset = (float(stream[detection.onset_t].q)
+    q_at_onset = (float(stream[t.index(detection.onset_t)].q)
                   if detection.detected else None)
     write_json(_out(args, "detection.json"), {
         "detected": detection.detected,
@@ -150,7 +154,13 @@ def cmd_estimate(args) -> int:
                 doc = json.load(f)
             if not doc.get("detected", False):
                 raise ValueError("detection result reports no contact")
-            onset = int(doc["onset_t"])
+            # detection reports the stream's own t; slice by row position
+            onset_t = int(doc["onset_t"])
+            t = [s.t for s in stream]
+            if onset_t not in t:
+                raise ValueError(f"detected onset_t {onset_t} is not a t "
+                                 "of the stream")
+            onset = t.index(onset_t)
         if onset is None:
             onset = 0
         sub = stream[onset:]
@@ -164,10 +174,11 @@ def cmd_estimate(args) -> int:
             model=model, q_traj=q_traj, sensed=sensed, s0=args.s0, W=W,
             bounds=bounds,
             sensed_end_pose=(sub[-1].pose.x, sub[-1].pose.z))
+        # raises when no sample is valid on both the sensed and model side
+        s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
     except (OSError, ValueError, KeyError) as e:
         print(f"estimate: {e}", file=sys.stderr)
         return EXIT_IO
-    s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
     write_json(_out(args, "estimation.json"), {
         "s_c_est": report["s_c_est"],
         "iterations": report["iterations"],
@@ -242,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--stream", required=True)
     e.add_argument("--detection", default=None,
-                   help="detection.json supplying the onset index")
-    e.add_argument("--onset-t", type=int, default=None)
+                   help="detection.json supplying the onset t")
+    e.add_argument("--onset-t", type=int, default=None,
+                   help="onset row position in the stream (default 0)")
     e.add_argument("--s0", type=float, required=True)
     e.add_argument("--bounds", default=None, help="lo:hi LU")
     e.add_argument("--max-iter", type=int, default=est.LM_MAX_ITER)

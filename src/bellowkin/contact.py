@@ -5,8 +5,8 @@ portion [0, s_c] keeps the shape it had at the onset pressure q_c; the
 distal portion keeps bending as a shorter bellow of length L - s_c mounted
 at the frozen station.  The shorter-bellow tangent is re-based so the
 combined field stays continuous at s_c: evaluated raw, the distal field
-restarts at theta(0, q), kinking the backbone whenever the frozen tangent
-differs (pass literal=True to evaluate that raw form).
+would restart at theta(0, q), kinking the backbone whenever the frozen
+tangent differs.
 
 Pressure is assumed non-decreasing after onset; dropping below q_c would
 un-pin the contact, so those queries are rejected.
@@ -91,8 +91,7 @@ def _check_q(contact: ContactState, q: float):
         raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
 
 
-def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float,
-                  literal: bool = False):
+def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
     """Tangent angle of the contacted backbone at arc length s, pressure q.
 
     Proximal of s_c: the frozen field theta(s, q_c).  Distal: the shorter
@@ -109,31 +108,25 @@ def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float,
         out[prox] = modal.theta(model, s[prox], contact.q_c)
     if np.any(~prox):
         u = s[~prox] - contact.s_c
-        if literal:
-            out[~prox] = modal.theta(model, u, q)
-        else:
-            th_off = modal.theta(model, contact.s_c, contact.q_c)
-            out[~prox] = th_off + modal.theta(model, u, q) - modal.theta(model, 0.0, q)
+        th_off = modal.theta(model, contact.s_c, contact.q_c)
+        out[~prox] = th_off + modal.theta(model, u, q) - modal.theta(model, 0.0, q)
     return float(out[0]) if scalar else out
 
 
-def _distal_field(model, contact, q, literal):
+def _distal_field(model, contact, q):
     """World tangent over the distal local coordinate u in [0, L - s_c]."""
-    if literal:
-        return lambda u: modal.theta(model, u, q)
     th_off = modal.theta(model, contact.s_c, contact.q_c)
     base0 = modal.theta(model, 0.0, q)
     return lambda u: th_off + modal.theta(model, u, q) - base0
 
 
 def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
-                     n_panels: int = DEFAULT_PANELS,
-                     literal: bool = False) -> PlanarPose:
+                     n_panels: int = DEFAULT_PANELS) -> PlanarPose:
     """Tip pose of the contacted backbone; the frozen part contributes
     base_pose_c, the distal part a quadrature over the remaining arc."""
     _check_q(contact, q)
     ell = model.L - contact.s_c
-    field = _distal_field(model, contact, q, literal)
+    field = _distal_field(model, contact, q)
     base = contact.base_pose_c
     if ell == 0.0:
         return PlanarPose(x=base.x, z=base.z, theta=field(0.0))
@@ -144,22 +137,8 @@ def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
                       theta=field(ell))
 
 
-def contact_shape(model: modal.ModalModel, contact: ContactState, q: float,
-                  n: int, literal: bool = False) -> list:
-    """Contacted backbone poses at n equally spaced arc stations."""
-    if n < 2:
-        raise ValueError("need at least 2 stations")
-    _check_q(contact, q)
-    stations = np.linspace(0.0, model.L, n)
-    fn = lambda s: contact_theta(model, contact, s, q, literal=literal)
-    pos = cumulative_stations(fn, stations)
-    return [PlanarPose(x=pos[k, 0], z=pos[k, 1], theta=fn(float(stations[k])))
-            for k in range(n)]
-
-
 def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
-                     n_panels: int = DEFAULT_PANELS,
-                     literal: bool = False) -> np.ndarray:
+                     n_panels: int = DEFAULT_PANELS) -> np.ndarray:
     """Actuation Jacobian after contact: (dx/dq, dz/dq, dtheta_L/dq).
 
     The frozen portion is pressure-independent (zero rows); only the distal
@@ -171,23 +150,19 @@ def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
     ell = model.L - contact.s_c
     if ell == 0.0:
         return np.zeros(3)
-    field = _distal_field(model, contact, q, literal)
+    field = _distal_field(model, contact, q)
     nodes, weights = panel_nodes(0.0, ell, n_panels)
     th = field(nodes)
-    dth = modal.dtheta_dq(model, nodes, q)
-    dthL = modal.dtheta_dq(model, ell, q)
-    if not literal:
-        d0 = modal.dtheta_dq(model, 0.0, q)
-        dth = dth - d0
-        dthL = dthL - d0
+    d0 = modal.dtheta_dq(model, 0.0, q)
+    dth = modal.dtheta_dq(model, nodes, q) - d0
+    dthL = modal.dtheta_dq(model, ell, q) - d0
     dx = float((-np.sin(th) * dth) @ weights)
     dz = float((np.cos(th) * dth) @ weights)
     return np.array([dx, dz, dthL])
 
 
 def contact_tip_twist(model: modal.ModalModel, contact: ContactState, q: float,
-                      qdot: float, n_panels: int = DEFAULT_PANELS,
-                      literal: bool = False) -> PlanarTwist:
+                      qdot: float, n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
     """Tip twist of the contacted backbone under pressure rate qdot."""
-    J = contact_jacobian(model, contact, q, n_panels=n_panels, literal=literal)
+    J = contact_jacobian(model, contact, q, n_panels=n_panels)
     return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)

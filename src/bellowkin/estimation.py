@@ -7,16 +7,15 @@ between sensed and predicted traces over the scalar unknown s_c by
 Levenberg-Marquardt, with a brute-force grid argmin as verification oracle.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import modal
+from .centrode import CentrodeTrace
 from .contact import contact_tip_pose, freeze
 from .kinematics import DEFAULT_PANELS
-from .quadrature import panel_nodes
-from .ramp import hypothesis_centrode
+from .ramp import hypothesis_centrode, hypothesis_centrode_gradient
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -33,19 +32,31 @@ def _ramp_values(q_traj) -> np.ndarray:
     return q
 
 
+def _sensed_arrays(sensed) -> CentrodeTrace:
+    """A sensed centrode (CentrodeTrace or CentrodePoints) as arrays."""
+    if isinstance(sensed, CentrodeTrace):
+        return CentrodeTrace(cx=np.asarray(sensed.cx, dtype=float),
+                             cz=np.asarray(sensed.cz, dtype=float),
+                             valid=np.asarray(sensed.valid, dtype=bool))
+    return CentrodeTrace(cx=np.array([p.x for p in sensed], dtype=float),
+                         cz=np.array([p.z for p in sensed], dtype=float),
+                         valid=np.array([p.valid for p in sensed], dtype=bool))
+
+
 @dataclass
 class EstimationProblem:
     """Inputs of one contact-location solve.
 
     q_traj is the post-onset pressure ramp (first entry = onset pressure);
-    sensed is the centrode trace over the same samples.  W is None for
-    identity, a per-sample weight vector, or a full matrix over the stacked
-    valid residual.  sensed_end_pose (x, z) enables the end-tip error metric.
+    sensed is the centrode trace over the same samples, CentrodePoints or a
+    CentrodeTrace, held as a CentrodeTrace.  W is None for identity, a
+    per-sample weight vector, or a full matrix over the stacked valid
+    residual.  sensed_end_pose (x, z) enables the end-tip error metric.
     """
 
     model: modal.ModalModel
     q_traj: np.ndarray
-    sensed: list
+    sensed: CentrodeTrace
     s0: float
     W: object = None
     bounds: tuple = None
@@ -53,7 +64,8 @@ class EstimationProblem:
 
     def __post_init__(self):
         self.q_traj = _ramp_values(self.q_traj)
-        if len(self.sensed) != len(self.q_traj):
+        self.sensed = _sensed_arrays(self.sensed)
+        if len(self.sensed.valid) != len(self.q_traj):
             raise ValueError("sensed trace and q_traj differ in length")
         if self.bounds is None:
             self.bounds = (0.01 * self.model.L, 0.99 * self.model.L)
@@ -92,16 +104,23 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
                                n_panels=n_panels).points()
 
 
-def _pair_mask(sensed, predicted) -> np.ndarray:
-    if len(sensed) != len(predicted):
+def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
+              sensed: CentrodeTrace, n_panels: int):
+    """Stacked residual sensed - predicted at s_c, its derivative in s_c,
+    and the mask of samples valid on both sides.
+
+    Rows interleave (x, z) per masked sample, the layout a matrix W spans.
+    """
+    if len(sensed.valid) != len(q):
         raise ValueError("traces differ in length")
-    return np.array([s.valid and p.valid for s, p in zip(sensed, predicted)])
-
-
-def _stacked_residual(sensed, predicted, mask) -> np.ndarray:
-    r = [(s.x - p.x, s.z - p.z)
-         for s, p, m in zip(sensed, predicted, mask) if m]
-    return np.asarray(r, dtype=float).ravel()
+    pred = hypothesis_centrode_gradient(model, s_c, q, n_panels=n_panels)
+    mask = sensed.valid & pred.valid
+    if not np.any(mask):
+        raise ValueError("no overlapping valid centrode samples")
+    r = np.column_stack((sensed.cx[mask] - pred.cx[mask],
+                         sensed.cz[mask] - pred.cz[mask])).ravel()
+    J = -np.column_stack((pred.dcx[mask], pred.dcz[mask])).ravel()
+    return r, J, mask
 
 
 def _apply_weight(r: np.ndarray, W, mask: np.ndarray) -> np.ndarray:
@@ -120,106 +139,28 @@ def _apply_weight(r: np.ndarray, W, mask: np.ndarray) -> np.ndarray:
 def centrode_objective(model: modal.ModalModel, s_c: float, q_traj, sensed,
                        W=None, n_panels: int = DEFAULT_PANELS) -> float:
     """Half the weighted squared centrode gap at hypothesis s_c."""
-    pred = predicted_centrode(model, s_c, q_traj, n_panels=n_panels)
-    mask = _pair_mask(sensed, pred)
-    if not np.any(mask):
-        raise ValueError("no overlapping valid centrode samples")
-    r = _stacked_residual(sensed, pred, mask)
+    r, _, mask = _residual(model, s_c, _ramp_values(q_traj),
+                           _sensed_arrays(sensed), n_panels)
     return 0.5 * float(r @ _apply_weight(r, W, mask))
-
-
-def centrode_gradient(model: modal.ModalModel, s_c_hyp: float, q_traj,
-                      n_panels: int = DEFAULT_PANELS,
-                      h_s: float = None) -> np.ndarray:
-    """Per-sample d(centrode)/d(s_c) by central differences, (m, 2).
-
-    Rows are NaN where either displaced centrode is invalid.  Near the
-    domain ends the stencil degrades to one-sided and warns.
-    """
-    if h_s is None:
-        h_s = max(1e-3 * model.L, 0.01)
-    lo, hi = s_c_hyp - h_s, s_c_hyp + h_s
-    if lo <= 0.0 or hi >= model.L:
-        warnings.warn("hypothesis at domain edge; one-sided difference")
-        if lo <= 0.0:
-            lo, hi = s_c_hyp, s_c_hyp + h_s
-        else:
-            lo, hi = s_c_hyp - h_s, s_c_hyp
-    c_lo = predicted_centrode(model, lo, q_traj, n_panels=n_panels)
-    c_hi = predicted_centrode(model, hi, q_traj, n_panels=n_panels)
-    grad = np.full((len(c_lo), 2), np.nan)
-    for k, (a, b) in enumerate(zip(c_lo, c_hi)):
-        if a.valid and b.valid:
-            grad[k] = [(b.x - a.x) / (hi - lo), (b.z - a.z) / (hi - lo)]
-    return grad
 
 
 def centrode_gradient_analytic(model: modal.ModalModel, s_c_hyp: float, q_traj,
                                n_panels: int = DEFAULT_PANELS) -> np.ndarray:
-    """Exact-chain-rule d(centrode)/d(s_c), (m, 2).
-
-    Differentiates c = P + rot90(v)/omega through the frozen base pose, the
-    continuity offset, and the moving distal integration limit:
-      dP/ds_c   = t_prox(s_c) - t_distal(ell) + k_off * integral(rot90 tangent)
-      dv/ds_c   = boundary term + k_off * (rotation of the velocity integrand)
-      domega/ds_c = -qdot * d2theta/(ds dq)(ell, q)
-    with k_off = dtheta/ds(s_c, q_c) and ell = L - s_c.
-    """
-    q = _ramp_values(q_traj)
-    if not (0.0 < s_c_hyp < model.L):
-        raise ValueError(f"s_c hypothesis outside (0, {model.L})")
-    s_c = float(s_c_hyp)
-    q_c = float(q[0])
-    qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    ell = model.L - s_c
-    th_off = modal.theta(model, s_c, q_c)
-    k_off = modal.dtheta_ds(model, s_c, q_c)
-    d_base = np.array([np.cos(th_off), np.sin(th_off)])
-    nodes, wts = panel_nodes(0.0, ell, n_panels)
-    grad = np.full((len(q), 2), np.nan)
-    for k, qk in enumerate(q):
-        qk = float(qk)
-        b0 = modal.theta(model, 0.0, qk)
-        g0 = modal.dtheta_dq(model, 0.0, qk)
-        th = th_off + modal.theta(model, nodes, qk) - b0
-        g = modal.dtheta_dq(model, nodes, qk) - g0
-        th_end = th_off + modal.theta(model, ell, qk) - b0
-        g_end = modal.dtheta_dq(model, ell, qk) - g0
-        omega = qdot * g_end
-        if abs(omega) < 1e-9:
-            continue
-        cos_t, sin_t = np.cos(th), np.sin(th)
-        v = qdot * np.array([float((-sin_t * g) @ wts), float((cos_t * g) @ wts)])
-        dP = d_base - np.array([np.cos(th_end), np.sin(th_end)]) \
-            + k_off * np.array([float(-sin_t @ wts), float(cos_t @ wts)])
-        dv = qdot * (-np.array([-np.sin(th_end), np.cos(th_end)]) * g_end
-                     + k_off * np.array([float((-cos_t * g) @ wts),
-                                         float((-sin_t * g) @ wts)]))
-        d_omega = -qdot * modal.d2theta_dsdq(model, ell, qk)
-        rot90 = lambda u: np.array([-u[1], u[0]])
-        grad[k] = dP + rot90(dv) / omega - rot90(v) * (d_omega / omega ** 2)
-    return grad
+    """Exact-chain-rule d(centrode)/d(s_c), (m, 2); NaN rows where the
+    centrode is invalid.  See ramp.hypothesis_centrode_gradient."""
+    g = hypothesis_centrode_gradient(model, s_c_hyp, _ramp_values(q_traj),
+                                     n_panels=n_panels)
+    return np.column_stack((g.dcx, g.dcz))
 
 
 def _objective_state(problem: EstimationProblem, s_c: float, n_panels: int):
     """Objective, scalar gradient, and Gauss-Newton curvature at s_c."""
-    pred = predicted_centrode(problem.model, s_c, problem.q_traj,
-                              n_panels=n_panels)
-    mask = _pair_mask(problem.sensed, pred)
-    if not np.any(mask):
-        raise ValueError("no overlapping valid centrode samples")
-    r = _stacked_residual(problem.sensed, pred, mask)
+    r, J, mask = _residual(problem.model, s_c, problem.q_traj, problem.sensed,
+                           n_panels)
     Wr = _apply_weight(r, problem.W, mask)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dc = centrode_gradient(problem.model, s_c, problem.q_traj,
-                               n_panels=n_panels)
-    J = -dc[mask].ravel()  # residual = sensed - predicted
-    finite = np.isfinite(J)
     obj = 0.5 * float(r @ Wr)
-    g = float(J[finite] @ Wr[finite])
-    WJ = _apply_weight(J, problem.W, mask)
-    H = float(J[finite] @ WJ[finite])
+    g = float(J @ Wr)
+    H = float(J @ _apply_weight(J, problem.W, mask))
     return obj, g, H
 
 
@@ -277,10 +218,8 @@ def estimate_contact(problem: EstimationProblem,
     end_tip_err = float("nan")
     if problem.sensed_end_pose is not None:
         contact = freeze(problem.model, float(problem.q_traj[0]), s_c)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tip = contact_tip_pose(problem.model, contact,
-                                   float(problem.q_traj[-1]), n_panels=n_panels)
+        tip = contact_tip_pose(problem.model, contact,
+                               float(problem.q_traj[-1]), n_panels=n_panels)
         ex, ez = problem.sensed_end_pose
         end_tip_err = float(np.hypot(tip.x - ex, tip.z - ez))
     report = {
@@ -303,6 +242,7 @@ def grid_oracle(model: modal.ModalModel, sensed, q_traj, grid,
     grid = np.sort(np.asarray(grid, dtype=float))
     if len(grid) == 0:
         raise ValueError("empty grid")
+    sensed = _sensed_arrays(sensed)
     best_s, best_obj = None, np.inf
     for s_c in grid:
         obj = centrode_objective(model, float(s_c), q_traj, sensed,
@@ -318,8 +258,8 @@ def speed_weights(sensed, scale: float = None) -> np.ndarray:
     Weight 1/(1 + (speed/scale)^2) with speed from neighbor differences;
     invalid samples get weight 1 (they are dropped from residuals anyway).
     """
-    pts = np.array([[p.x, p.z] if p.valid else [np.nan, np.nan]
-                    for p in sensed])
+    c = _sensed_arrays(sensed)
+    pts = np.where(c.valid[:, None], np.column_stack((c.cx, c.cz)), np.nan)
     speed = np.full(len(pts), np.nan)
     if len(pts) >= 2:
         d = np.linalg.norm(np.diff(pts, axis=0), axis=1)

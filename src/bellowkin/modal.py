@@ -152,13 +152,6 @@ def dtheta_ds(model: ModalModel, s, q) -> float:
     return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
 
 
-def d2theta_dsdq(model: ModalModel, s, q) -> float:
-    """Mixed arc/pressure derivative of the tangent field."""
-    s = model._check_s(s)
-    vals = _dpsi_rows(s / model.L, model.v) @ model.A @ deta_dq(q, model.w) / model.L
-    return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
-
-
 def theta_grid(model: ModalModel, s, q) -> np.ndarray:
     """Tangent angles on the outer grid of arc samples x pressure samples.
 
@@ -169,15 +162,27 @@ def theta_grid(model: ModalModel, s, q) -> np.ndarray:
     return _psi_rows(s / model.L, model.v) @ model.A @ Q
 
 
+def _deta_dq_cols(q: np.ndarray, w: int) -> np.ndarray:
+    """Columns of d eta / dq at pressure samples; shape (w, len(q))."""
+    D = np.zeros((w, q.size))
+    if w > 1:
+        k = np.arange(1, w)
+        D[1:, :] = k[:, None] * np.power(q[None, :], (k - 1)[:, None])
+    return D
+
+
 def dtheta_dq_grid(model: ModalModel, s, q) -> np.ndarray:
     """Pressure sensitivities on the outer grid; shape (len(s), len(q))."""
     s = model._check_s(np.atleast_1d(s))
-    q = np.asarray(q, dtype=float)
-    D = np.zeros((model.w, q.size))
-    if model.w > 1:
-        k = np.arange(1, model.w)
-        D[1:, :] = k[:, None] * np.power(q[None, :], (k - 1)[:, None])
+    D = _deta_dq_cols(np.asarray(q, dtype=float), model.w)
     return _psi_rows(s / model.L, model.v) @ model.A @ D
+
+
+def d2theta_dsdq_grid(model: ModalModel, s, q) -> np.ndarray:
+    """Mixed arc/pressure derivatives on the outer grid; shape (len(s), len(q))."""
+    s = model._check_s(np.atleast_1d(s))
+    D = _deta_dq_cols(np.asarray(q, dtype=float), model.w)
+    return _dpsi_rows(s / model.L, model.v) @ model.A @ D / model.L
 
 
 def in_calibrated_range(model: ModalModel, q) -> bool:

@@ -112,11 +112,13 @@ def add_noise(samples, sigma_pos: float, sigma_ang: float, seed: int = 0) -> lis
 
 
 def model_centrode(model: modal.ModalModel, ramp,
-                   n_panels: int = DEFAULT_PANELS) -> list:
+                   n_panels: int = DEFAULT_PANELS, t_index=None) -> list:
     """Free-motion centrode trace from analytic twists along the ramp
-    (a PressureRamp or an array of pressures)."""
+    (a PressureRamp or an array of pressures), numbered 0, 1, ... or by
+    the given t_index (a sensed stream's own t)."""
     q, qdot = _pressures(ramp)
-    return ramp_centrode(model, q, qdot=qdot, n_panels=n_panels).points()
+    return ramp_centrode(model, q, qdot=qdot,
+                         n_panels=n_panels).points(t_index=t_index)
 
 
 def _isa_index(model, q, free: CentrodeTrace, s_c: float, n_panels) -> float:

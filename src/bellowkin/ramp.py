@@ -91,6 +91,17 @@ def ramp_centrode(model: modal.ModalModel, q, contact: ContactState = None,
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
+def _pinned_ramp(model: modal.ModalModel, s_c: float, q, n_panels: int):
+    """Contact state, pressure rate and kinematics of a pin at s_c that
+    holds from the first pressure q[0] on."""
+    if not (0.0 < s_c < model.L):
+        raise ValueError(f"s_c hypothesis outside (0, {model.L})")
+    q = np.asarray(q, dtype=float)
+    contact = freeze(model, float(q[0]), float(s_c))
+    qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
+    return contact, qdot, ramp_kinematics(model, q, contact, qdot, n_panels)
+
+
 def hypothesis_centrode(model: modal.ModalModel, s_c: float, q,
                         n_panels: int = DEFAULT_PANELS) -> CentrodeTrace:
     """Centrode under a contact at s_c that pins at the first pressure q[0].
@@ -99,9 +110,45 @@ def hypothesis_centrode(model: modal.ModalModel, s_c: float, q,
     differencing of sensed streams (the centrode itself does not depend on
     it; only the validity threshold on omega does).
     """
-    if not (0.0 < s_c < model.L):
-        raise ValueError(f"s_c hypothesis outside (0, {model.L})")
-    q = np.asarray(q, dtype=float)
-    contact = freeze(model, float(q[0]), float(s_c))
-    qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    return ramp_centrode(model, q, contact, qdot, n_panels)
+    _, _, k = _pinned_ramp(model, s_c, q, n_panels)
+    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+
+
+class CentrodeGradient(NamedTuple):
+    """A hypothesis centrode (cx, cz, valid as in CentrodeTrace) and its
+    derivatives dcx, dcz with respect to the contact location; all NaN
+    where not valid."""
+
+    cx: np.ndarray
+    cz: np.ndarray
+    valid: np.ndarray
+    dcx: np.ndarray
+    dcz: np.ndarray
+
+
+def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float, q,
+                                 n_panels: int = DEFAULT_PANELS) -> CentrodeGradient:
+    """hypothesis_centrode, bit for bit, and its exact derivative in s_c.
+
+    Moving the pin by ds_c moves the contact station P0 along the frozen
+    tangent t(th_off), turns the distal body about P0 at the frozen
+    curvature k_off = dtheta/ds(s_c, q_c), and shortens the distal arc
+    ell = L - s_c.  Differentiating c = P + rot90(v)/omega through all three
+    (the end-of-arc terms of P and rot90(v)/omega cancel) leaves
+      dc/ds_c = t(th_off) + k_off rot90(c - P0) - rot90(v) domega/omega^2,
+      domega/ds_c = -qdot d2theta/(ds dq)(ell, q),
+    so the kernel's one field evaluation serves both.  P0 is the frozen
+    base pose, whose derivative is taken as the exact t(th_off).
+    """
+    contact, qdot, k = _pinned_ramp(model, s_c, q, n_panels)
+    c = instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+    s_c, q_c = contact.s_c, contact.q_c
+    th_off = modal.theta(model, s_c, q_c)
+    k_off = modal.dtheta_ds(model, s_c, q_c)
+    d_omega = -qdot * modal.d2theta_dsdq_grid(model, model.L - s_c, q)[0]
+    base = contact.base_pose_c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(c.valid, d_omega / (k.omega * k.omega), np.nan)
+    dcx = math.cos(th_off) - k_off * (c.cz - base.z) + k.vz * rate
+    dcz = math.sin(th_off) + k_off * (c.cx - base.x) - k.vx * rate
+    return CentrodeGradient(cx=c.cx, cz=c.cz, valid=c.valid, dcx=dcx, dcz=dcz)

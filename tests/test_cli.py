@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +117,20 @@ def test_estimate_with_detection(workdir):
     assert len(rows) == doc["iterations"] + 1
 
 
+def test_estimate_no_valid_centrode_exit_1(workdir, tmp_path, capsys):
+    # constant theta: pure translation, every sensed center at infinity
+    rows = "".join(f"{k},{5.0 + 0.05 * k},{400.0 + 0.1 * k},{50.0},0.3\n"
+                   for k in range(20))
+    stream = tmp_path / "translate.csv"
+    stream.write_text("t,q,x,z,theta\n" + rows)
+    code = run(["estimate", "--model", workdir["model"], "--stream", str(stream),
+                "--s0", "200", "--out-dir", str(tmp_path / "est")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("estimate: ") and err.count("\n") == 1
+    assert "no overlapping valid centrode samples" in err
+
+
 def test_estimate_non_convergence_exit_3(workdir, tmp_path):
     out = str(tmp_path / "noconv")
     stream = os.path.join(workdir["sim"], "pose_stream.csv")
@@ -175,6 +191,38 @@ def test_detect_non_uniform_pressure(workdir, tmp_path):
     assert doc["q_at_onset"] == pytest.approx(10.0, abs=0.5)
 
 
+def test_detect_and_estimate_stream_not_starting_at_t0(workdir, tmp_path):
+    # an excerpt of a longer run: t shifted by 100, samples unchanged
+    src = os.path.join(workdir["sim"], "pose_stream.csv")
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text(shift_t(open(src).read(), 100))
+    docs = {}
+    for name, stream in (("orig", src), ("shifted", str(shifted))):
+        det, est = tmp_path / name / "det", tmp_path / name / "est"
+        assert run(["detect", "--model", workdir["model"], "--stream", stream,
+                    "--out-dir", str(det)]) == 0
+        assert run(["estimate", "--model", workdir["model"], "--stream", stream,
+                    "--detection", str(det / "detection.json"),
+                    "--s0", "200", "--out-dir", str(est)]) == 0
+        docs[name] = (json.load(open(det / "detection.json")),
+                      json.load(open(est / "estimation.json")))
+    (det0, est0), (det1, est1) = docs["orig"], docs["shifted"]
+    assert det0["detected"] is det1["detected"] is True
+    assert det1["onset_t"] == det0["onset_t"] + 100
+    assert det1["q_at_onset"] == det0["q_at_onset"]
+    assert det1["max_deviation"] == det0["max_deviation"]
+    assert est1["s_c_est"] == est0["s_c_est"]
+
+
+def shift_t(csv_text, offset):
+    lines = csv_text.splitlines()
+    out = [lines[0]]
+    for line in lines[1:]:
+        t, rest = line.split(",", 1)
+        out.append(f"{int(t) + offset},{rest}")
+    return "\n".join(out) + "\n"
+
+
 def test_detect_crlf_stream(workdir, tmp_path):
     src = os.path.join(workdir["sim"], "pose_stream.csv")
     crlf = tmp_path / "crlf.csv"
@@ -228,3 +276,17 @@ def test_pipeline_closure(workdir, tmp_path):
                 "--s0", "250", "--out-dir", est]) == 0
     doc = json.load(open(os.path.join(est, "estimation.json")))
     assert abs(doc["s_c_est"] - truth) <= 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy alone serves the package; scipy's import cost every CLI call
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, bellowkin.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

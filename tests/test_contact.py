@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from bellowkin.contact import (
     ContactState,
     contact_jacobian,
-    contact_shape,
     contact_theta,
     contact_tip_pose,
     contact_tip_twist,
     freeze,
 )
-from bellowkin.kinematics import jacobian, pose_at, shape, tip_pose
+from bellowkin.kinematics import jacobian, pose_at, shape, tip_pose, wrap_angle
 from bellowkin.modal import ModalModel, theta
+from bellowkin.quadrature import cumulative_stations
 from tests.conftest import make_random_model
 
 
@@ -100,11 +100,13 @@ def test_onset_shape_matches_free_shape_affine():
     for _ in range(5):
         m = affine_model(rng)
         c = freeze(m, 5.0, 180.0)
-        cs = contact_shape(m, c, 5.0, 21)
+        stations = np.linspace(0.0, m.L, 21)
+        field = lambda s: contact_theta(m, c, s, 5.0)
+        pos = cumulative_stations(field, stations)
         fs = shape(m, 5.0, 21)
-        for pc, pf in zip(cs, fs):
-            assert np.linalg.norm(pc.position - pf.position) <= 1e-9
-            assert abs(pc.theta - pf.theta) <= 1e-12
+        for k, pf in enumerate(fs):
+            assert np.linalg.norm(pos[k] - pf.position) <= 1e-9
+            assert abs(wrap_angle(field(float(stations[k]))) - pf.theta) <= 1e-12
 
 
 def test_distal_field_is_rebased_shorter_bellow(reference_model):
@@ -114,16 +116,6 @@ def test_distal_field_is_rebased_shorter_bellow(reference_model):
         got = contact_theta(reference_model, c, s, 20.0)
         fresh = theta(reference_model, s - 100.0, 20.0)
         assert got == pytest.approx(fresh + off, rel=1e-12, abs=1e-12)
-
-
-def test_literal_field_restarts_at_base_angle(reference_model):
-    c = freeze(reference_model, 5.0, 100.0)
-    s_past = np.nextafter(100.0, 500.0)
-    lit = contact_theta(reference_model, c, s_past, 20.0, literal=True)
-    assert lit == pytest.approx(theta(reference_model, 0.0, 20.0), abs=1e-9)
-    # the raw form kinks at s_c once the frozen tangent differs from theta(0,q)
-    kink = abs(lit - contact_theta(reference_model, c, 100.0, 20.0))
-    assert kink > 0.01
 
 
 def test_contact_tip_zero_model():

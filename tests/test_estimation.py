@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bellowkin.centrode import CentrodePoint, centrode_from_stream, fixed_centrode
+from bellowkin.centrode import (CentrodePoint, CentrodeTrace, centrode_from_stream,
+                                fixed_centrode)
 from bellowkin.contact import contact_tip_pose, contact_tip_twist, freeze
 from bellowkin.estimation import (
     EstimationProblem,
-    centrode_gradient,
     centrode_gradient_analytic,
     centrode_objective,
     estimate_contact,
@@ -15,6 +15,7 @@ from bellowkin.estimation import (
 )
 from bellowkin.pipeline import PressureRamp, simulate_contact
 from tests.conftest import make_random_model
+from tests.finite_difference import fd_centrode_gradient
 
 RAMP = PressureRamp(5.0, 20.0, 0.05)
 TRUTH = 100.0
@@ -75,7 +76,7 @@ def test_wrong_hypothesis_leaves_residual(reference_model, sensed_scenario):
 
 def test_gradient_paths_agree(reference_model):
     # default-step FD on a far hypothesis, where the landscape is tame
-    fd = centrode_gradient(reference_model, 200.0, RAMP.values)
+    fd = fd_centrode_gradient(reference_model, 200.0, RAMP.values)
     an = centrode_gradient_analytic(reference_model, 200.0, RAMP.values)
     both = np.isfinite(fd).all(axis=1) & np.isfinite(an).all(axis=1)
     rel = (np.linalg.norm(fd[both] - an[both], axis=1)
@@ -90,7 +91,7 @@ def test_gradient_paths_agree(reference_model):
         model = make_random_model(rng, L=500.0) if rng.uniform() < 0.5 \
             else reference_model
         s_c = rng.uniform(0.1, 0.9) * model.L
-        fd = centrode_gradient(model, s_c, q, h_s=0.05)
+        fd = fd_centrode_gradient(model, s_c, q, h_s=0.05)
         an = centrode_gradient_analytic(model, s_c, q)
         both = np.isfinite(fd).all(axis=1) & np.isfinite(an).all(axis=1)
         assert np.any(both)
@@ -101,14 +102,14 @@ def test_gradient_paths_agree(reference_model):
 
 def test_gradient_warns_at_domain_edge(reference_model):
     with pytest.warns(UserWarning, match="one-sided"):
-        g = centrode_gradient(reference_model, 0.3, RAMP.values[:20])
+        g = fd_centrode_gradient(reference_model, 0.3, RAMP.values[:20])
     assert np.any(np.isfinite(g))
 
 
 def test_normal_equation_step_small_at_truth(reference_model, sensed_scenario):
     sensed, _ = sensed_scenario
     pred = predicted_centrode(reference_model, TRUTH, RAMP.values)
-    dc = centrode_gradient(reference_model, TRUTH, RAMP.values)
+    dc = centrode_gradient_analytic(reference_model, TRUTH, RAMP.values)
     g = 0.0
     H = 0.0
     for k, (s, p) in enumerate(zip(sensed, pred)):
@@ -123,7 +124,7 @@ def test_normal_equation_step_small_at_truth(reference_model, sensed_scenario):
 def test_descent_direction_toward_truth(reference_model, sensed_scenario):
     sensed, _ = sensed_scenario
     pred = predicted_centrode(reference_model, 200.0, RAMP.values)
-    dc = centrode_gradient(reference_model, 200.0, RAMP.values)
+    dc = centrode_gradient_analytic(reference_model, 200.0, RAMP.values)
     g = 0.0
     for k, (s, p) in enumerate(zip(sensed, pred)):
         if s.valid and p.valid and np.all(np.isfinite(dc[k])):
@@ -184,6 +185,40 @@ def test_estimate_invariant_under_weight_rescale(reference_model, sensed_scenari
     s1, _ = estimate_contact(base)
     s2, _ = estimate_contact(scaled)
     assert abs(s1 - s2) <= 0.01
+
+
+def test_matrix_and_per_sample_weights(reference_model, sensed_scenario):
+    # estimates pinned from the finite-difference-gradient estimator; the
+    # exact gradient moves them by well under 1e-6 LU
+    sensed, _ = sensed_scenario
+    w = speed_weights(sensed)
+    blocks = np.kron(np.diag(w), np.array([[1.0, 0.3], [0.3, 1.0]]))
+    results = {}
+    for name, W in (("vector", w), ("diagonal", np.diag(np.repeat(w, 2))),
+                    ("coupled", blocks)):
+        problem = EstimationProblem(model=reference_model, q_traj=RAMP.values,
+                                    sensed=sensed, s0=200.0, W=W)
+        s_est, report = estimate_contact(problem)
+        assert report["converged"]
+        results[name] = s_est
+    assert results["vector"] == pytest.approx(100.00066581455694, abs=1e-6)
+    assert results["coupled"] == pytest.approx(100.00066438885874, abs=1e-6)
+    assert abs(results["diagonal"] - results["vector"]) <= 1e-12
+
+
+def test_sensed_trace_as_arrays_or_points(reference_model, sensed_scenario):
+    sensed, end = sensed_scenario
+    trace = CentrodeTrace(cx=np.array([p.x for p in sensed]),
+                          cz=np.array([p.z for p in sensed]),
+                          valid=np.array([p.valid for p in sensed]))
+    results = []
+    for given in (sensed, trace):
+        problem = EstimationProblem(model=reference_model, q_traj=RAMP.values,
+                                    sensed=given, s0=200.0, sensed_end_pose=end)
+        results.append(estimate_contact(problem)[1])
+    assert results[0]["trace"] == results[1]["trace"]
+    assert centrode_objective(reference_model, 150.0, RAMP.values, trace) == \
+        centrode_objective(reference_model, 150.0, RAMP.values, sensed)
 
 
 def test_speed_weights_shape_and_range(reference_model, sensed_scenario):

@@ -16,6 +16,14 @@ TOL_LU = 1e-12
 QDOT = 0.05
 
 
+def omega_zero_model():
+    # dtheta/dq = (s/L) (2q - 20) vanishes at q = 10 for the free tip and
+    # for every contacted distal field: centers at infinity there
+    A = np.zeros((3, 3))
+    A[1, 1], A[1, 2] = -0.02, 0.001
+    return ModalModel(A=A, L=400.0)
+
+
 def per_sample(model, q, contact):
     """Poses, twists and centrodes of the scalar reference path."""
     out = []
@@ -83,16 +91,30 @@ def test_wrap_angles_bit_exact():
 
 
 def test_invalid_samples_match_per_sample():
-    # dtheta/dq = (s/L) (2q - 20) vanishes at q = 10 for the free tip and
-    # for every contacted distal field: centers at infinity there
-    A = np.zeros((3, 3))
-    A[1, 1], A[1, 2] = -0.02, 0.001
-    model = ModalModel(A=A, L=400.0)
+    model = omega_zero_model()
     q = np.array([9.0, 9.5, 10.0, 10.5, 11.0])
     for contact in (None, freeze(model, 9.0, 150.0)):
         trace = ramp_centrode(model, q, contact, qdot=QDOT)
         assert list(trace.valid) == [True, True, False, True, True]
         assert_matches(model, q, contact)
+
+
+@pytest.mark.parametrize("n", [1, 3, 151, 601])
+def test_gradient_kernel_centrode_is_hypothesis_centrode(reference_model, n):
+    # the second model's ramp is centered on its omega = 0 pressure
+    cases = [(reference_model, np.linspace(5.0, 20.0, n), 130.0),
+             (omega_zero_model(), 10.0 + 0.01 * (np.arange(n) - n // 2), 150.0)]
+    for model, q, s_c in cases:
+        grad = ramp.hypothesis_centrode_gradient(model, s_c, q)
+        ref = ramp.hypothesis_centrode(model, s_c, q)
+        assert np.array_equal(grad.valid, ref.valid)
+        assert np.array_equal(grad.cx, ref.cx, equal_nan=True)
+        assert np.array_equal(grad.cz, ref.cz, equal_nan=True)
+        assert np.all(np.isfinite(grad.dcx[grad.valid]))
+        assert np.all(np.isfinite(grad.dcz[grad.valid]))
+        assert np.all(np.isnan(grad.dcx[~grad.valid]))
+        assert np.all(np.isnan(grad.dcz[~grad.valid]))
+    assert not grad.valid[n // 2]
 
 
 def test_contact_ramp_rejects_release(reference_model):
