@@ -51,13 +51,13 @@ def main():
     xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
     det = ct.fcd_detect(sensed, model_trace, xi=xi)
     print(f"  xi = {xi:.4g} LU; detected={det.detected} at t={det.onset_t} "
-          f"(q={stream[det.onset_t].q} Psi), max deviation {det.max_deviation:.4g} LU")
+          f"(q={stream.q[det.onset_t]} Psi), max deviation {det.max_deviation:.4g} LU")
 
     print("== contact location estimation ==")
-    sub = stream[det.onset_t:]
-    q_traj = np.asarray([s.q for s in sub])
+    sub = stream.rows(slice(det.onset_t, None))
+    q_traj = sub.q
     sensed_sub = ct.centrode_from_stream(sub)
-    end_pose = (sub[-1].pose.x, sub[-1].pose.z)
+    end_pose = (float(sub.x[-1]), float(sub.z[-1]))
     for s0 in (200.0, 20.0):
         t0 = time.time()
         problem = est.EstimationProblem(model=model, q_traj=q_traj,

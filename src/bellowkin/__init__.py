@@ -5,8 +5,9 @@ from .kinematics import (PlanarPose, PlanarTwist, cc_pose, jacobian,
                          resolved_rates, shape, tip_twist)
 from .contact import (ContactState, contact_jacobian, contact_theta,
                       contact_tip_pose, contact_tip_twist, freeze)
-from .centrode import (CentrodePoint, PoseSample, centrode_from_stream,
-                       fcd_detect, fixed_centrode, isa_difference)
+from .centrode import (CentrodePoint, CentrodeTrace, PoseStream,
+                       centrode_from_stream, fcd_detect, fixed_centrode,
+                       isa_difference)
 from .estimation import (EstimationProblem, estimate_contact, grid_oracle,
                          predicted_centrode)
 from .pipeline import PressureRamp, simulate_contact, simulate_free, sweep
@@ -17,8 +18,8 @@ __all__ = [
     "tip_twist", "resolved_rates",
     "ContactState", "freeze", "contact_theta", "contact_tip_pose",
     "contact_jacobian", "contact_tip_twist",
-    "CentrodePoint", "PoseSample", "fixed_centrode", "centrode_from_stream",
-    "fcd_detect", "isa_difference",
+    "CentrodePoint", "CentrodeTrace", "PoseStream", "fixed_centrode",
+    "centrode_from_stream", "fcd_detect", "isa_difference",
     "EstimationProblem", "predicted_centrode", "estimate_contact",
     "grid_oracle",
     "PressureRamp", "simulate_free", "simulate_contact", "sweep",

@@ -12,13 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .io import write_csv, read_csv
-from .kinematics import PlanarPose, PlanarTwist
+from .io import read_table, write_columns
+from .kinematics import PlanarPose, PlanarTwist, wrap_angles
 
 EPS_OMEGA = 1e-9
 DEFAULT_WINDOW = 3
 DEFAULT_XI_FACTOR = 3.0
 DEFAULT_XI_PERCENTILE = 95.0
+POSE_STREAM_HEADER = ["t", "q", "x", "z", "theta"]
+CENTRODE_HEADER = ["t", "valid", "cx", "cz"]
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,19 @@ class CentrodePoint:
     t_index: int = 0
 
 
-@dataclass(frozen=True)
-class PoseSample:
-    t: int
-    q: float
-    pose: PlanarPose
+class PoseStream(NamedTuple):
+    """Tip-pose samples as arrays: integer step t, pressure q, position
+    x, z and tangent angle theta in (-pi, pi]."""
+
+    t: np.ndarray
+    q: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+
+    def rows(self, index) -> "PoseStream":
+        """The samples at index (a slice, mask or positions)."""
+        return PoseStream(*(a[index] for a in self))
 
 
 class CentrodeTrace(NamedTuple):
@@ -42,13 +52,6 @@ class CentrodeTrace(NamedTuple):
     cx: np.ndarray
     cz: np.ndarray
     valid: np.ndarray
-
-    def points(self, t_index=None) -> list:
-        """The trace as CentrodePoints, t_index 0, 1, ... unless given."""
-        t = range(len(self.valid)) if t_index is None else t_index
-        return [CentrodePoint(x=x, z=z, valid=v, t_index=int(k))
-                for x, z, v, k in zip(self.cx.tolist(), self.cz.tolist(),
-                                      self.valid.tolist(), t)]
 
 
 def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
@@ -84,7 +87,7 @@ def _stencil_rates(values: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
-def centrode_from_stream(samples) -> list:
+def centrode_from_stream(stream: PoseStream) -> CentrodeTrace:
     """Centrode trace from a uniformly stepped pose stream.
 
     Velocities come from differencing over the step index (the stream is
@@ -92,31 +95,27 @@ def centrode_from_stream(samples) -> list:
     is unwrapped before differencing so crossings of the +-pi seam do not
     produce spurious rates.
     """
-    if len(samples) < 3:
+    t = np.asarray(stream.t, dtype=float)
+    if t.size < 3:
         raise ValueError("need at least 3 samples to difference")
-    t = np.asarray([s.t for s in samples], dtype=float)
     dt_all = np.diff(t)
     if np.any(dt_all <= 0) or np.ptp(dt_all) > 1e-9 * max(abs(dt_all[0]), 1.0):
         raise ValueError("samples must be uniformly and strictly increasing in t")
     dt = float(dt_all[0])
-    x = np.asarray([s.pose.x for s in samples])
-    z = np.asarray([s.pose.z for s in samples])
-    th = np.unwrap(np.asarray([s.pose.theta for s in samples]))
-    trace = instant_centers(x, z, _stencil_rates(x, dt), _stencil_rates(z, dt),
-                            _stencil_rates(th, dt))
-    return trace.points(t_index=[s.t for s in samples])
+    x = np.asarray(stream.x, dtype=float)
+    z = np.asarray(stream.z, dtype=float)
+    th = np.unwrap(np.asarray(stream.theta, dtype=float))
+    return instant_centers(x, z, _stencil_rates(x, dt), _stencil_rates(z, dt),
+                           _stencil_rates(th, dt))
 
 
-def _aligned_deviations(c_a, c_b) -> np.ndarray:
+def _aligned_deviations(c_a: CentrodeTrace, c_b: CentrodeTrace) -> np.ndarray:
     """Per-sample center distance; NaN where either side is invalid."""
-    if len(c_a) != len(c_b):
+    if len(c_a.valid) != len(c_b.valid):
         raise ValueError("traces differ in length")
-    dev = np.full(len(c_a), np.nan)
-    for k, (a, b) in enumerate(zip(c_a, c_b)):
-        if a.t_index != b.t_index:
-            raise ValueError("traces not aligned by t_index")
-        if a.valid and b.valid:
-            dev[k] = float(np.hypot(a.x - b.x, a.z - b.z))
+    both = c_a.valid & c_b.valid
+    dev = np.full(both.size, np.nan)
+    dev[both] = np.hypot(c_a.cx[both] - c_b.cx[both], c_a.cz[both] - c_b.cz[both])
     if not np.any(np.isfinite(dev)):
         raise ValueError("no overlapping valid samples")
     return dev
@@ -129,48 +128,41 @@ class DetectionResult:
     max_deviation: float
 
 
-def fcd_detect(c_sensed, c_model, xi: float,
-               window: int = DEFAULT_WINDOW) -> DetectionResult:
+def fcd_detect(c_sensed: CentrodeTrace, c_model: CentrodeTrace, xi: float,
+               window: int = DEFAULT_WINDOW, t=None) -> DetectionResult:
     """Declare contact at the first run of `window` consecutive valid
     samples whose sensed-vs-model center distance exceeds xi.
 
-    Invalid samples are skipped (they neither extend nor reset a run);
-    onset_t is the t_index of the first sample of the run.
+    The traces are aligned sample by sample.  Invalid samples are skipped
+    (they neither extend nor reset a run); onset_t is t (the stream's own
+    steps; 0, 1, ... when not given) at the first sample of the run.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")
     dev = _aligned_deviations(c_sensed, c_model)
-    run = 0
-    run_start = None
-    onset = None
-    for k in range(len(dev)):
-        if not np.isfinite(dev[k]):
-            continue
-        if dev[k] > xi:
-            if run == 0:
-                run_start = k
-            run += 1
-            if run >= window and onset is None:
-                onset = run_start
-        else:
-            run = 0
-            run_start = None
     max_dev = float(np.nanmax(dev))
-    if onset is None:
+    # runs over the valid samples only: the first window of all-exceeding
+    # samples starts a run (the sample before it does not exceed)
+    kept = np.flatnonzero(np.isfinite(dev))
+    above = np.concatenate(([0], np.cumsum(dev[kept] > xi)))
+    full = np.flatnonzero(above[window:] - above[:-window] == window)
+    if full.size == 0:
         return DetectionResult(detected=False, onset_t=-1, max_deviation=max_dev)
-    return DetectionResult(detected=True, onset_t=int(c_sensed[onset].t_index),
+    onset = int(kept[full[0]])
+    return DetectionResult(detected=True,
+                           onset_t=onset if t is None else int(t[onset]),
                            max_deviation=max_dev)
 
 
-def isa_difference(c_contact, c_free) -> np.ndarray:
+def isa_difference(c_contact: CentrodeTrace, c_free: CentrodeTrace) -> np.ndarray:
     """Per-sample center distance between two traces (NaN where invalid);
     the summary index is the max over the ramp."""
     return _aligned_deviations(c_contact, c_free)
 
 
-def default_threshold(c_sensed_free, c_model_free,
+def default_threshold(c_sensed_free: CentrodeTrace, c_model_free: CentrodeTrace,
                       factor: float = DEFAULT_XI_FACTOR,
                       percentile: float = DEFAULT_XI_PERCENTILE) -> float:
     """Detection threshold from a contact-free ramp's noise floor.
@@ -182,31 +174,38 @@ def default_threshold(c_sensed_free, c_model_free,
     return factor * float(np.nanpercentile(dev, percentile))
 
 
-def write_pose_stream(path, samples):
-    rows = [(s.t, s.q, s.pose.x, s.pose.z, s.pose.theta) for s in samples]
-    write_csv(path, ["t", "q", "x", "z", "theta"], rows)
+def write_pose_stream(path, stream: PoseStream):
+    write_columns(path, POSE_STREAM_HEADER,
+                  ["%d", "%.17g", "%.17g", "%.17g", "%.17g"], stream)
 
 
-def read_pose_stream(path) -> list:
-    header, rows = read_csv(path)
-    if header != ["t", "q", "x", "z", "theta"]:
-        raise ValueError(f"unexpected pose-stream header: {header}")
-    out = []
-    for r in rows:
-        out.append(PoseSample(t=int(float(r[0])), q=float(r[1]),
-                              pose=PlanarPose(x=float(r[2]), z=float(r[3]),
-                                              theta=float(r[4]))))
-    return out
+def read_pose_stream(path) -> PoseStream:
+    """A pose stream as written by write_pose_stream.
+
+    t is truncated to an integer step, theta is wrapped into (-pi, pi];
+    a row with a missing field or a non-finite t, q, x, z or theta raises
+    ValueError naming the row.
+    """
+    data = read_table(path, POSE_STREAM_HEADER, "pose-stream")
+    t = data[:, 0]
+    for bad, what in ((~(np.abs(t) < 2.0 ** 63), "t must be a finite step"),
+                      (~np.isfinite(data[:, 1]), "q must be finite"),
+                      (~np.isfinite(data[:, 2:]).all(axis=1),
+                       "pose components must be finite")):
+        if bad.any():
+            raise ValueError(f"pose-stream row {np.argmax(bad) + 1}: {what}")
+    return PoseStream(t=t.astype(np.int64), q=data[:, 1], x=data[:, 2],
+                      z=data[:, 3], theta=wrap_angles(data[:, 4]))
 
 
-def write_centrode(path, points):
-    rows = [(p.t_index, p.valid, p.x, p.z) for p in points]
-    write_csv(path, ["t", "valid", "cx", "cz"], rows)
+def write_centrode(path, trace: CentrodeTrace, t):
+    """The trace as rows (t, valid, cx, cz), t the stream's own steps."""
+    write_columns(path, CENTRODE_HEADER, ["%d", "%d", "%.17g", "%.17g"],
+                  (t, trace.valid, trace.cx, trace.cz))
 
 
-def read_centrode(path) -> list:
-    header, rows = read_csv(path)
-    if header != ["t", "valid", "cx", "cz"]:
-        raise ValueError(f"unexpected centrode header: {header}")
-    return [CentrodePoint(t_index=int(float(r[0])), valid=r[1] == "1",
-                          x=float(r[2]), z=float(r[3])) for r in rows]
+def read_centrode(path):
+    """(t, CentrodeTrace) of a file written by write_centrode."""
+    data = read_table(path, CENTRODE_HEADER, "centrode")
+    return data[:, 0].astype(np.int64), CentrodeTrace(
+        cx=data[:, 2], cz=data[:, 3], valid=data[:, 1] == 1.0)

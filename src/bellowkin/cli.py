@@ -101,38 +101,47 @@ def cmd_simulate(args) -> int:
     if contact_state is not None:
         with open(_out(args, "contact_state.json"), "w", newline="\n") as f:
             f.write(contact_state.to_json() + "\n")
-    print(f"wrote {len(stream)} samples")
+    print(f"wrote {stream.t.size} samples")
     return EXIT_OK
+
+
+def _row_of_t(stream: ct.PoseStream, t: int, source: str) -> int:
+    """Row position of the stream sample whose own t is t."""
+    rows = np.flatnonzero(stream.t == t)
+    if rows.size == 0:
+        raise ValueError(f"{source} {t} is not a t of the stream")
+    return int(rows[0])
 
 
 def cmd_detect(args) -> int:
     try:
         model = _load_model(args.model)
         stream = ct.read_pose_stream(args.stream)
-        if len(stream) < 3:
+        if stream.t.size < 3:
             raise ValueError("stream too short to difference (need >= 3)")
         sensed = ct.centrode_from_stream(stream)
-        # the model side at the stream's own pressures, numbered by the
-        # stream's own t: the centrode does not depend on the pressure rate,
-        # so a non-uniform schedule is exact
-        q = np.asarray([s.q for s in stream])
-        t = [s.t for s in stream]
-        model_trace = pl.model_centrode(model, q, t_index=t)
+        # one kernel pass at the stream's own pressures gives the model
+        # centrode (which does not depend on the pressure rate, so a
+        # non-uniform schedule is exact) and the free reference poses
+        kin = pl.free_kinematics(model, stream.q)
+        model_trace = pl.model_centrode(model, stream.q, kinematics=kin)
         xi = args.xi
         if xi is None:
             # noise floor of differencing vs analytic centrode on a free run
             # sampled at the stream's t
-            free = [ct.PoseSample(t=tk, q=f.q, pose=f.pose)
-                    for tk, f in zip(t, pl.simulate_free(model, q))]
-            xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
-        detection = ct.fcd_detect(sensed, model_trace, xi=xi, window=args.window)
+            free = pl.simulate_free(model, stream.q, kinematics=kin)
+            xi = ct.default_threshold(
+                ct.centrode_from_stream(free._replace(t=stream.t)), model_trace)
+        detection = ct.fcd_detect(sensed, model_trace, xi=xi,
+                                  window=args.window, t=stream.t)
+        q_at_onset = (float(stream.q[_row_of_t(stream, detection.onset_t,
+                                               "onset_t")])
+                      if detection.detected else None)
     except (OSError, ValueError, KeyError) as e:
         print(f"detect: {e}", file=sys.stderr)
         return EXIT_IO
-    ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed)
-    ct.write_centrode(_out(args, "model_centrode.csv"), model_trace)
-    q_at_onset = (float(stream[t.index(detection.onset_t)].q)
-                  if detection.detected else None)
+    ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed, stream.t)
+    ct.write_centrode(_out(args, "model_centrode.csv"), model_trace, stream.t)
     write_json(_out(args, "detection.json"), {
         "detected": detection.detected,
         "onset_t": int(detection.onset_t) if detection.detected else None,
@@ -148,32 +157,25 @@ def cmd_estimate(args) -> int:
     try:
         model = _load_model(args.model)
         stream = ct.read_pose_stream(args.stream)
-        onset = args.onset_t
-        if onset is None and args.detection is not None:
+        # both onset sources name the stream's own t
+        onset = 0
+        if args.onset_t is not None:
+            onset = _row_of_t(stream, args.onset_t, "--onset-t")
+        elif args.detection is not None:
             with open(args.detection) as f:
                 doc = json.load(f)
             if not doc.get("detected", False):
                 raise ValueError("detection result reports no contact")
-            # detection reports the stream's own t; slice by row position
-            onset_t = int(doc["onset_t"])
-            t = [s.t for s in stream]
-            if onset_t not in t:
-                raise ValueError(f"detected onset_t {onset_t} is not a t "
-                                 "of the stream")
-            onset = t.index(onset_t)
-        if onset is None:
-            onset = 0
-        sub = stream[onset:]
-        if len(sub) < 3:
+            onset = _row_of_t(stream, int(doc["onset_t"]), "detected onset_t")
+        sub = stream.rows(slice(onset, None))
+        if sub.t.size < 3:
             raise ValueError("post-onset stream too short (need >= 3)")
         sensed = ct.centrode_from_stream(sub)
-        q_traj = np.asarray([s.q for s in sub])
         bounds = _parse_bounds(args.bounds) if args.bounds else None
         W = est.speed_weights(sensed) if args.speed_weights else None
         problem = est.EstimationProblem(
-            model=model, q_traj=q_traj, sensed=sensed, s0=args.s0, W=W,
-            bounds=bounds,
-            sensed_end_pose=(sub[-1].pose.x, sub[-1].pose.z))
+            model=model, q_traj=sub.q, sensed=sensed, s0=args.s0, W=W,
+            bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
         # raises when no sample is valid on both the sensed and model side
         s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
     except (OSError, ValueError, KeyError) as e:
@@ -208,7 +210,7 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError, KeyError) as e:
         print(f"sweep: {e}", file=sys.stderr)
         return EXIT_IO
-    rows = pl.sweep(model, ramp, s_values, jobs=args.jobs)
+    rows = pl.sweep(model, ramp, s_values)
     write_csv(_out(args, "sweep.csv"), ["s_c", "max_isa_diff"], rows)
     for s_c, val in rows:
         print(f"s_c={s_c:g}: max ISA difference {val:.6g}")
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--detection", default=None,
                    help="detection.json supplying the onset t")
     e.add_argument("--onset-t", type=int, default=None,
-                   help="onset row position in the stream (default 0)")
+                   help="onset as the stream's own t, as detection.json "
+                        "reports it (default: the first sample)")
     e.add_argument("--s0", type=float, required=True)
     e.add_argument("--bounds", default=None, help="lo:hi LU")
     e.add_argument("--max-iter", type=int, default=est.LM_MAX_ITER)
@@ -267,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--model", required=True)
     w.add_argument("--ramp", required=True)
     w.add_argument("--s-values", required=True, help="comma list of s_c LU")
-    w.add_argument("--jobs", type=int, default=1)
     w.add_argument("--out-dir", required=True)
     w.set_defaults(fn=cmd_sweep)
     return p

@@ -67,6 +67,16 @@ class ContactState:
                                           theta=float(bp["theta"])))
 
 
+def station_pose(model: modal.ModalModel, q_c: float, s_c: float,
+                 n_stations: int = 65) -> PlanarPose:
+    """Pose of the station s_c at pressure q_c: theta(s, q_c) integrated
+    over n_stations equal stations of [0, s_c]."""
+    stations = np.linspace(0.0, float(s_c), n_stations)
+    pos = cumulative_stations(lambda s: modal.theta(model, s, q_c), stations)
+    return PlanarPose(x=pos[-1, 0], z=pos[-1, 1],
+                      theta=modal.theta(model, float(s_c), q_c))
+
+
 def freeze(model: modal.ModalModel, q_c: float, s_c: float,
            n_stations: int = 65) -> ContactState:
     """Record the proximal shape at contact onset.
@@ -77,12 +87,9 @@ def freeze(model: modal.ModalModel, q_c: float, s_c: float,
     if not (0.0 < s_c < model.L):
         raise ValueError(f"s_c must lie strictly inside (0, {model.L})")
     stations = np.linspace(0.0, float(s_c), n_stations)
-    pos = cumulative_stations(lambda s: modal.theta(model, s, q_c), stations)
     table = np.column_stack([stations, modal.theta(model, stations, q_c)])
-    base = PlanarPose(x=pos[-1, 0], z=pos[-1, 1],
-                      theta=modal.theta(model, float(s_c), q_c))
     return ContactState(s_c=float(s_c), q_c=float(q_c), theta_c=table,
-                        base_pose_c=base)
+                        base_pose_c=station_pose(model, q_c, s_c, n_stations))
 
 
 def _check_q(contact: ContactState, q: float):

@@ -32,15 +32,11 @@ def _ramp_values(q_traj) -> np.ndarray:
     return q
 
 
-def _sensed_arrays(sensed) -> CentrodeTrace:
-    """A sensed centrode (CentrodeTrace or CentrodePoints) as arrays."""
-    if isinstance(sensed, CentrodeTrace):
-        return CentrodeTrace(cx=np.asarray(sensed.cx, dtype=float),
-                             cz=np.asarray(sensed.cz, dtype=float),
-                             valid=np.asarray(sensed.valid, dtype=bool))
-    return CentrodeTrace(cx=np.array([p.x for p in sensed], dtype=float),
-                         cz=np.array([p.z for p in sensed], dtype=float),
-                         valid=np.array([p.valid for p in sensed], dtype=bool))
+def _sensed_arrays(sensed: CentrodeTrace) -> CentrodeTrace:
+    """A sensed centrode trace with float coordinates and a bool mask."""
+    return CentrodeTrace(cx=np.asarray(sensed.cx, dtype=float),
+                         cz=np.asarray(sensed.cz, dtype=float),
+                         valid=np.asarray(sensed.valid, dtype=bool))
 
 
 @dataclass
@@ -48,10 +44,9 @@ class EstimationProblem:
     """Inputs of one contact-location solve.
 
     q_traj is the post-onset pressure ramp (first entry = onset pressure);
-    sensed is the centrode trace over the same samples, CentrodePoints or a
-    CentrodeTrace, held as a CentrodeTrace.  W is None for identity, a
-    per-sample weight vector, or a full matrix over the stacked valid
-    residual.  sensed_end_pose (x, z) enables the end-tip error metric.
+    sensed is the CentrodeTrace over the same samples.  W is None for
+    identity, a per-sample weight vector, or a full matrix over the stacked
+    valid residual.  sensed_end_pose (x, z) enables the end-tip error metric.
     """
 
     model: modal.ModalModel
@@ -89,7 +84,7 @@ class EstimationProblem:
 
 
 def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
-                       n_panels: int = DEFAULT_PANELS) -> list:
+                       n_panels: int = DEFAULT_PANELS) -> CentrodeTrace:
     """Model-side centrode trace under a contact hypothesis.
 
     Freezes the proximal shape at (q_traj[0], s_c_hyp) and maps contact tip
@@ -97,11 +92,11 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
     scale-invariant).  Evaluation batches the whole ramp through
-    ramp.ramp_centrode; it matches the per-sample contact_tip_pose /
+    ramp.hypothesis_centrode; it matches the per-sample contact_tip_pose /
     contact_tip_twist path.
     """
     return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj),
-                               n_panels=n_panels).points()
+                               n_panels=n_panels)
 
 
 def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,

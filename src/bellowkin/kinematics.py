@@ -25,6 +25,18 @@ def wrap_angle(a: float) -> float:
     return math.pi if r == -math.pi else r
 
 
+def wrap_angles(a) -> np.ndarray:
+    """Elementwise wrap_angle, bit for bit: into (-pi, pi].
+
+    fmod is exact, and shifting its result by 2 pi is exact because the
+    result already lies within a factor of two of 2 pi.
+    """
+    two_pi = 2.0 * math.pi
+    r = np.fmod(a, two_pi)
+    r = np.where(r > math.pi, r - two_pi, r)
+    return np.where(r <= -math.pi, r + two_pi, r)
+
+
 @dataclass
 class PlanarPose:
     """Position in the bending plane plus tangent angle at the station."""

@@ -6,16 +6,14 @@ the distal portion bending, so a sensed stream diverges from the free-model
 prediction and the centrode machinery can detect and localize the pin.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import modal
-from .centrode import CentrodeTrace, PoseSample
+from .centrode import CentrodeTrace, PoseStream, instant_centers
 from .contact import freeze
-from .kinematics import DEFAULT_PANELS, PlanarPose
+from .kinematics import DEFAULT_PANELS, wrap_angles
 from .ramp import (RampKinematics, hypothesis_centrode, ramp_centrode,
                    ramp_kinematics)
 
@@ -62,20 +60,29 @@ def _pressures(ramp):
     return q, (float(q[1] - q[0]) if q.size > 1 else 1.0)
 
 
-def _pose_stream(q, kin: RampKinematics) -> list:
-    return [PoseSample(t=k, q=qk, pose=PlanarPose(x=x, z=z, theta=th))
-            for k, (qk, x, z, th) in enumerate(zip(
-                q.tolist(), kin.x.tolist(), kin.z.tolist(), kin.theta.tolist()))]
+def free_kinematics(model: modal.ModalModel, ramp,
+                    n_panels: int = DEFAULT_PANELS) -> RampKinematics:
+    """Free tip poses and twists along the ramp (a PressureRamp or an array
+    of pressures), twists at the ramp's pressure rate per sample step."""
+    q, qdot = _pressures(ramp)
+    return ramp_kinematics(model, q, qdot=qdot, n_panels=n_panels)
 
 
 def simulate_free(model: modal.ModalModel, ramp,
-                  n_panels: int = DEFAULT_PANELS) -> list:
+                  n_panels: int = DEFAULT_PANELS,
+                  kinematics: RampKinematics = None) -> PoseStream:
     """Tip-pose stream of an unobstructed pressurization.
 
-    ramp is a PressureRamp or an array of pressures, one sample each.
+    ramp is a PressureRamp or an array of pressures, one sample each;
+    kinematics is its free_kinematics when already at hand (poses do not
+    depend on the pressure rate), so one kernel pass can serve both this
+    and model_centrode.
     """
     q, _ = _pressures(ramp)
-    return _pose_stream(q, ramp_kinematics(model, q, n_panels=n_panels))
+    k = kinematics
+    if k is None:
+        k = free_kinematics(model, q, n_panels)
+    return PoseStream(t=np.arange(q.size), q=q, x=k.x, z=k.z, theta=k.theta)
 
 
 def simulate_contact(model: modal.ModalModel, ramp,
@@ -84,7 +91,7 @@ def simulate_contact(model: modal.ModalModel, ramp,
     """Tip-pose stream with a pin at s_c from pressure q_c onward.
 
     Samples below q_c follow the free model; from onset on, the contacted
-    model.  Returns (samples, contact_state).
+    model.  Returns (stream, contact_state).
     """
     if not (0.0 < s_c < model.L):
         raise ValueError(f"contact location outside (0, {model.L})")
@@ -95,30 +102,41 @@ def simulate_contact(model: modal.ModalModel, ramp,
     cols[:, free] = ramp_kinematics(model, q[free], n_panels=n_panels)
     cols[:, ~free] = ramp_kinematics(model, q[~free], contact,
                                      n_panels=n_panels)
-    return _pose_stream(q, RampKinematics(*cols)), contact
+    x, z, theta = cols[:3]
+    return PoseStream(t=np.arange(q.size), q=q, x=x, z=z, theta=theta), contact
 
 
-def add_noise(samples, sigma_pos: float, sigma_ang: float, seed: int = 0) -> list:
-    """Additive Gaussian pose noise for robustness experiments."""
+def add_noise(stream: PoseStream, sigma_pos: float, sigma_ang: float,
+              seed: int = 0) -> PoseStream:
+    """Additive Gaussian pose noise for robustness experiments.
+
+    The draws come in per-sample order (dx, dz, then dtheta), each set
+    left out when its sigma is not positive: the same numbers, bit for bit,
+    as per-sample normal(0, sigma) calls on the same generator.
+    """
     rng = np.random.default_rng(seed)
-    out = []
-    for s in samples:
-        dx, dz = rng.normal(0.0, sigma_pos, 2) if sigma_pos > 0 else (0.0, 0.0)
-        da = rng.normal(0.0, sigma_ang) if sigma_ang > 0 else 0.0
-        out.append(PoseSample(t=s.t, q=s.q,
-                              pose=PlanarPose(x=s.pose.x + dx, z=s.pose.z + dz,
-                                              theta=s.pose.theta + da)))
-    return out
+    pos, ang = sigma_pos > 0, sigma_ang > 0
+    e = rng.standard_normal((stream.t.size, 2 * pos + ang))
+    d = np.zeros((stream.t.size, 3))
+    # normal(loc, scale) draws loc + scale * standard_normal()
+    if pos:
+        d[:, :2] = 0.0 + sigma_pos * e[:, :2]
+    if ang:
+        d[:, 2] = 0.0 + sigma_ang * e[:, -1]
+    return stream._replace(x=stream.x + d[:, 0], z=stream.z + d[:, 1],
+                           theta=wrap_angles(stream.theta + d[:, 2]))
 
 
 def model_centrode(model: modal.ModalModel, ramp,
-                   n_panels: int = DEFAULT_PANELS, t_index=None) -> list:
-    """Free-motion centrode trace from analytic twists along the ramp
-    (a PressureRamp or an array of pressures), numbered 0, 1, ... or by
-    the given t_index (a sensed stream's own t)."""
-    q, qdot = _pressures(ramp)
-    return ramp_centrode(model, q, qdot=qdot,
-                         n_panels=n_panels).points(t_index=t_index)
+                   n_panels: int = DEFAULT_PANELS,
+                   kinematics: RampKinematics = None) -> CentrodeTrace:
+    """Free-motion centrode trace from analytic twists along the ramp (a
+    PressureRamp or an array of pressures); kinematics is its
+    free_kinematics when already at hand."""
+    k = kinematics
+    if k is None:
+        k = free_kinematics(model, ramp, n_panels)
+    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
 def _isa_index(model, q, free: CentrodeTrace, s_c: float, n_panels) -> float:
@@ -144,7 +162,7 @@ def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp, s_c: float,
 
 
 def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values,
-          jobs: int = 1, n_panels: int = DEFAULT_PANELS) -> list:
+          n_panels: int = DEFAULT_PANELS) -> list:
     """ISA-difference index per contact location, in the given order.
 
     The free centrode is computed once and shared by every location.
@@ -152,10 +170,4 @@ def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values,
     q, qdot = _pressures(ramp)
     free = ramp_centrode(model, q, qdot=qdot, n_panels=n_panels)
     s_values = [float(s_c) for s_c in s_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            vals = list(ex.map(_isa_index, repeat(model), repeat(q),
-                               repeat(free), s_values, repeat(n_panels)))
-    else:
-        vals = [_isa_index(model, q, free, s_c, n_panels) for s_c in s_values]
-    return list(zip(s_values, vals))
+    return [(s_c, _isa_index(model, q, free, s_c, n_panels)) for s_c in s_values]

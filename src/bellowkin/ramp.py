@@ -16,11 +16,9 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, instant_centers
-from .contact import ContactState, _check_q, freeze
-from .kinematics import DEFAULT_PANELS
+from .contact import ContactState, _check_q, station_pose
+from .kinematics import DEFAULT_PANELS, PlanarPose, wrap_angles
 from .quadrature import panel_nodes
-
-_TWO_PI = 2.0 * math.pi
 
 
 class RampKinematics(NamedTuple):
@@ -34,22 +32,12 @@ class RampKinematics(NamedTuple):
     omega: np.ndarray
 
 
-def wrap_angles(a) -> np.ndarray:
-    """Elementwise kinematics.wrap_angle, bit for bit: into (-pi, pi].
-
-    fmod is exact, and shifting its result by 2 pi is exact because the
-    result already lies within a factor of two of 2 pi.
-    """
-    r = np.fmod(a, _TWO_PI)
-    r = np.where(r > math.pi, r - _TWO_PI, r)
-    return np.where(r <= -math.pi, r + _TWO_PI, r)
-
-
 def ramp_kinematics(model: modal.ModalModel, q, contact: ContactState = None,
                     qdot=1.0, n_panels: int = DEFAULT_PANELS) -> RampKinematics:
     """Tip poses and twists at every pressure of q, twists at rate qdot.
 
-    contact=None is the free backbone over [0, L].  A ContactState gives the
+    contact=None is the free backbone over [0, L].  A ContactState (of
+    which only s_c, q_c and base_pose_c are read) gives the
     contacted backbone: the frozen base pose plus the distal field over
     [0, L - s_c], re-based to start at the frozen tangent (contact_theta),
     so every q must be at or above the onset pressure.
@@ -91,13 +79,23 @@ def ramp_centrode(model: modal.ModalModel, q, contact: ContactState = None,
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
+class _Pin(NamedTuple):
+    """The part of a ContactState that the contacted kernel reads."""
+
+    s_c: float
+    q_c: float
+    base_pose_c: PlanarPose
+
+
 def _pinned_ramp(model: modal.ModalModel, s_c: float, q, n_panels: int):
-    """Contact state, pressure rate and kinematics of a pin at s_c that
-    holds from the first pressure q[0] on."""
+    """Pin, pressure rate and kinematics of a pin at s_c that holds from
+    the first pressure q[0] on; the pin's base pose is freeze's, without
+    the station table freeze also records."""
     if not (0.0 < s_c < model.L):
         raise ValueError(f"s_c hypothesis outside (0, {model.L})")
     q = np.asarray(q, dtype=float)
-    contact = freeze(model, float(q[0]), float(s_c))
+    q_c, s_c = float(q[0]), float(s_c)
+    contact = _Pin(s_c, q_c, station_pose(model, q_c, s_c))
     qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
     return contact, qdot, ramp_kinematics(model, q, contact, qdot, n_panels)
 

@@ -16,7 +16,7 @@ import pytest
 
 from bellowkin.calibration import fit_modal
 from bellowkin.centrode import (
-    PoseSample,
+    PoseStream,
     centrode_from_stream,
     fixed_centrode,
 )
@@ -30,6 +30,7 @@ from bellowkin.kinematics import (
     resolved_rates,
     tip_pose,
     wrap_angle,
+    wrap_angles,
 )
 from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp, simulate_contact, sweep
@@ -131,21 +132,21 @@ def test_criterion_5_centrode_identities():
             assert math.hypot(c.x - a, c.z - b) <= 1e-9
 
         # stream differencing at 0.01 rad steps
+        k = np.arange(100)
         for r in [1.0, 2.0]:
-            samples = [PoseSample(t=k, q=float(k),
-                                  pose=PlanarPose(x=a + r * math.cos(0.01 * k),
-                                                  z=b + r * math.sin(0.01 * k),
-                                                  theta=wrap_angle(0.01 * k)))
-                       for k in range(100)]
+            samples = PoseStream(t=k, q=k.astype(float),
+                                 x=a + r * np.cos(0.01 * k),
+                                 z=b + r * np.sin(0.01 * k),
+                                 theta=wrap_angles(0.01 * k))
             pts = centrode_from_stream(samples)
-            assert all(p.valid for p in pts)
-            assert max(math.hypot(p.x - a, p.z - b) for p in pts) <= 1e-4
+            assert pts.valid.all()
+            assert np.max(np.hypot(pts.cx - a, pts.cz - b)) <= 1e-4
 
         # pure translation: invalid flags only
-        trans = [PoseSample(t=k, q=float(k),
-                            pose=PlanarPose(x=0.5 * k, z=-0.25 * k, theta=0.4))
-                 for k in range(50)]
-        assert all(not p.valid for p in centrode_from_stream(trans))
+        k = np.arange(50)
+        trans = PoseStream(t=k, q=k.astype(float), x=0.5 * k, z=-0.25 * k,
+                           theta=np.full(k.size, 0.4))
+        assert not centrode_from_stream(trans).valid.any()
 
 
 def test_criterion_6_isa_sweep_monotone(reference_model):
@@ -162,7 +163,7 @@ def test_criterion_7_contact_localization(reference_model):
     with Budget(60.0):
         samples, _ = simulate_contact(reference_model, RAMP, s_c=100.0, q_c=5.0)
         sensed = centrode_from_stream(samples)
-        end = (samples[-1].pose.x, samples[-1].pose.z)
+        end = (samples.x[-1], samples.z[-1])
 
         for s0, tip_tol in [(200.0, 0.1), (20.0, 0.89)]:
             problem = EstimationProblem(model=reference_model,
@@ -177,7 +178,7 @@ def test_criterion_7_contact_localization(reference_model):
         assert abs(s_est - oracle) <= 1.0
 
 
-def _run_pipeline(root: str, model_path: str = None, jobs: int = 1) -> list:
+def _run_pipeline(root: str, model_path: str = None) -> list:
     """CLI pipeline over the reference scenario; returns the written files."""
     cal = os.path.join(root, "cal")
     sim = os.path.join(root, "sim")
@@ -196,7 +197,7 @@ def _run_pipeline(root: str, model_path: str = None, jobs: int = 1) -> list:
                      "--s0", "200", "--out-dir", est]) == 0
     assert cli_main(["sweep", "--model", model, "--ramp", "5:20:0.05",
                      "--s-values", "0,50,100,150,200,250,300,350,400",
-                     "--jobs", str(jobs), "--out-dir", swp]) == 0
+                     "--out-dir", swp]) == 0
     found = []
     for sub in [cal, sim, det, est, swp]:
         for name in sorted(os.listdir(sub)):
@@ -205,14 +206,10 @@ def _run_pipeline(root: str, model_path: str = None, jobs: int = 1) -> list:
 
 
 def test_criterion_8_determinism(tmp_path):
-    run_a = _run_pipeline(str(tmp_path / "a"), jobs=1)
-    run_b = _run_pipeline(str(tmp_path / "b"), jobs=1)
-    run_c = _run_pipeline(str(tmp_path / "c"), jobs=2)  # parallel sweep
+    run_a = _run_pipeline(str(tmp_path / "a"))
+    run_b = _run_pipeline(str(tmp_path / "b"))
     assert [os.path.relpath(p, tmp_path / "a") for p in run_a] == \
            [os.path.relpath(p, tmp_path / "b") for p in run_b]
     for pa, pb in zip(run_a, run_b):
         assert filecmp.cmp(pa, pb, shallow=False), \
             f"{os.path.basename(pa)} differs between identical runs"
-    for pa, pc in zip(run_a, run_c):
-        assert filecmp.cmp(pa, pc, shallow=False), \
-            f"{os.path.basename(pa)} differs between jobs=1 and jobs=2"

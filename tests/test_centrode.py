@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellowkin.centrode import (
-    CentrodePoint,
-    PoseSample,
+    CentrodeTrace,
+    PoseStream,
     centrode_from_stream,
     default_threshold,
     fcd_detect,
@@ -18,20 +18,24 @@ from bellowkin.centrode import (
     write_centrode,
     write_pose_stream,
 )
-from bellowkin.kinematics import PlanarPose, PlanarTwist, wrap_angle
+from bellowkin.kinematics import PlanarPose, PlanarTwist, wrap_angles
 from bellowkin.pipeline import PressureRamp, model_centrode, simulate_free
+from tests.fcd_reference import fcd_onset_loop
 
 
 def rotation_samples(center, r, phi0, omega, n, theta0=0.0):
     """Rigid rotation of a body point about `center`, one step per sample."""
     a, b = center
-    out = []
-    for k in range(n):
-        phi = phi0 + omega * k
-        pose = PlanarPose(x=a + r * math.cos(phi), z=b + r * math.sin(phi),
-                          theta=wrap_angle(theta0 + omega * k))
-        out.append(PoseSample(t=k, q=float(k), pose=pose))
-    return out
+    k = np.arange(n)
+    phi = phi0 + omega * k
+    return PoseStream(t=k, q=k.astype(float), x=a + r * np.cos(phi),
+                      z=b + r * np.sin(phi),
+                      theta=wrap_angles(theta0 + omega * k))
+
+
+def assert_same_stream(a, b):
+    for name, u, v in zip(PoseStream._fields, a, b):
+        assert np.array_equal(u, v), name
 
 
 def test_centrode_rotation_about_origin():
@@ -95,16 +99,17 @@ def test_stream_recovers_rigid_center():
     for r in [1.0, 2.0]:
         samples = rotation_samples((40.0, -15.0), r, 0.3, 0.01, 100)
         pts = centrode_from_stream(samples)
-        assert all(p.valid for p in pts)
-        err = [math.hypot(p.x - 40.0, p.z + 15.0) for p in pts]
-        assert max(err) <= 1e-4
+        assert pts.valid.all()
+        err = np.hypot(pts.cx - 40.0, pts.cz + 15.0)
+        assert np.max(err) <= 1e-4
 
 
 def test_stream_stationary_all_invalid():
-    pose = PlanarPose(x=3.0, z=1.0, theta=0.2)
-    samples = [PoseSample(t=k, q=0.0, pose=pose) for k in range(10)]
+    ones = np.ones(10)
+    samples = PoseStream(t=np.arange(10), q=0.0 * ones, x=3.0 * ones,
+                         z=1.0 * ones, theta=0.2 * ones)
     pts = centrode_from_stream(samples)
-    assert all(not p.valid for p in pts)
+    assert not pts.valid.any()
 
 
 def test_stream_input_validation():
@@ -112,7 +117,7 @@ def test_stream_input_validation():
     with pytest.raises(ValueError, match="at least 3"):
         centrode_from_stream(samples)
     s3 = rotation_samples((0.0, 0.0), 1.0, 0.0, 0.01, 4)
-    jagged = [s3[0], s3[1], s3[3]]
+    jagged = s3.rows([0, 1, 3])
     with pytest.raises(ValueError, match="uniformly"):
         centrode_from_stream(jagged)
 
@@ -122,9 +127,9 @@ def test_stream_handles_wrap_seam():
     samples = rotation_samples((10.0, 5.0), 1.5, 0.0, 0.01, 60,
                                theta0=math.pi - 0.2)
     pts = centrode_from_stream(samples)
-    err = [math.hypot(p.x - 10.0, p.z - 5.0) for p in pts if p.valid]
-    assert all(p.valid for p in pts)
-    assert max(err) <= 1e-4
+    err = np.hypot(pts.cx - 10.0, pts.cz - 5.0)[pts.valid]
+    assert pts.valid.all()
+    assert np.max(err) <= 1e-4
 
 
 def test_stream_converges_to_model_centrode(reference_model):
@@ -142,14 +147,17 @@ def test_stream_converges_to_model_centrode(reference_model):
 
 
 def mk_trace(devs, valid=None):
-    base = [CentrodePoint(x=0.0, z=0.0, valid=True, t_index=k)
-            for k in range(len(devs))]
-    off = []
-    for k, d in enumerate(devs):
-        ok = True if valid is None else valid[k]
-        off.append(CentrodePoint(x=d if ok else float("nan"),
-                                 z=0.0, valid=ok, t_index=k))
+    n = len(devs)
+    base = CentrodeTrace(cx=np.zeros(n), cz=np.zeros(n),
+                         valid=np.ones(n, dtype=bool))
+    ok = np.ones(n, dtype=bool) if valid is None else np.asarray(valid)
+    off = CentrodeTrace(cx=np.where(ok, np.asarray(devs, dtype=float), np.nan),
+                        cz=np.zeros(n), valid=ok)
     return off, base
+
+
+def head(trace, n):
+    return CentrodeTrace(*(c[:n] for c in trace))
 
 
 def test_fcd_identical_traces_no_detection():
@@ -196,7 +204,7 @@ def test_fcd_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         fcd_detect(a, b, xi=0.5, window=0)
     with pytest.raises(ValueError, match="length"):
-        fcd_detect(a[:1], b, xi=0.5)
+        fcd_detect(head(a, 1), b, xi=0.5)
 
 
 def test_isa_difference_zero_for_identical():
@@ -222,11 +230,10 @@ def test_pose_stream_csv_round_trip(tmp_path, reference_model):
     path = tmp_path / "stream.csv"
     write_pose_stream(path, samples)
     back = read_pose_stream(path)
-    assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert (a.t, a.q) == (b.t, b.q)
-        assert a.pose.x == b.pose.x and a.pose.z == b.pose.z
-        assert a.pose.theta == b.pose.theta
+    assert len(back.t) == len(samples.t)
+    assert np.array_equal(back.t, samples.t) and np.array_equal(back.q, samples.q)
+    assert np.array_equal(back.x, samples.x) and np.array_equal(back.z, samples.z)
+    assert np.array_equal(back.theta, samples.theta)
 
 
 def test_pose_stream_crlf_round_trip(tmp_path, reference_model):
@@ -234,15 +241,33 @@ def test_pose_stream_crlf_round_trip(tmp_path, reference_model):
     path = tmp_path / "stream.csv"
     write_pose_stream(path, samples)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert read_pose_stream(path) == samples
+    assert_same_stream(read_pose_stream(path), samples)
 
 
 def test_centrode_csv_round_trip(tmp_path):
-    pts = [CentrodePoint(x=1.25, z=-3.5, valid=True, t_index=0),
-           CentrodePoint(x=float("nan"), z=float("nan"), valid=False, t_index=1)]
+    pts = CentrodeTrace(cx=np.array([1.25, np.nan]), cz=np.array([-3.5, np.nan]),
+                        valid=np.array([True, False]))
     path = tmp_path / "centrode.csv"
-    write_centrode(path, pts)
-    back = read_centrode(path)
-    assert back[0].valid and back[0].x == 1.25 and back[0].z == -3.5
-    assert not back[1].valid and math.isnan(back[1].x)
-    assert [p.t_index for p in back] == [0, 1]
+    write_centrode(path, pts, [0, 1])
+    t, back = read_centrode(path)
+    assert back.valid[0] and back.cx[0] == 1.25 and back.cz[0] == -3.5
+    assert not back.valid[1] and math.isnan(back.cx[1])
+    assert list(t) == [0, 1]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 40), window=st.integers(1, 5))
+def test_fcd_matches_plain_loop(data, n, window):
+    # deviations drawn around xi = 1, a few exactly at it; any validity
+    levels = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+    devs = data.draw(st.lists(levels, min_size=n, max_size=n))
+    valid = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if not any(valid):
+        valid[data.draw(st.integers(0, n - 1))] = True
+    a, b = mk_trace(devs, valid)
+    t = 7 + 3 * np.arange(n)
+    res = fcd_detect(a, b, xi=1.0, window=window, t=t)
+    onset = fcd_onset_loop(np.where(valid, devs, np.nan), 1.0, window)
+    assert res.detected is (onset is not None)
+    assert res.onset_t == (-1 if onset is None else t[onset])
+    assert res.max_deviation == max(d for d, v in zip(devs, valid) if v)

@@ -214,6 +214,57 @@ def test_detect_and_estimate_stream_not_starting_at_t0(workdir, tmp_path):
     assert est1["s_c_est"] == est0["s_c_est"]
 
 
+def test_onset_t_is_the_streams_own_t(workdir, tmp_path):
+    # --onset-t names the same sample as detection.json's onset_t
+    src = os.path.join(workdir["sim"], "pose_stream.csv")
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text(shift_t(open(src).read(), 100))
+    det = tmp_path / "det"
+    assert run(["detect", "--model", workdir["model"], "--stream", str(shifted),
+                "--out-dir", str(det)]) == 0
+    assert json.load(open(det / "detection.json"))["onset_t"] == 100
+    docs = []
+    for name, flags in (("by_detection", ["--detection", str(det / "detection.json")]),
+                        ("by_onset_t", ["--onset-t", "100"])):
+        out = tmp_path / name
+        assert run(["estimate", "--model", workdir["model"], "--stream",
+                    str(shifted), *flags, "--s0", "200",
+                    "--out-dir", str(out)]) == 0
+        docs.append(json.load(open(out / "estimation.json")))
+    assert docs[1]["s_c_est"] == docs[0]["s_c_est"]
+
+
+def test_onset_t_not_in_stream_exit_1(workdir, tmp_path, capsys):
+    stream = os.path.join(workdir["sim"], "pose_stream.csv")
+    code = run(["estimate", "--model", workdir["model"], "--stream", stream,
+                "--onset-t", "5000", "--s0", "200",
+                "--out-dir", str(tmp_path / "est")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "estimate: --onset-t 5000 is not a t of the stream\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,5,0,0,0\n1,5.05,0.1,0\n2,5.1,0.2,0,0\n",
+     "pose-stream row 2: 4 fields, expected 5"),
+    ("0,5,0,0,0\n1,5.05,nan,0,0\n2,5.1,0.2,0,0\n",
+     "pose-stream row 2: pose components must be finite"),
+    ("0,5,0,0,0\n1,5.05,0.1,0,0\n2,nan,0.2,0,0\n",
+     "pose-stream row 3: q must be finite"),
+    ("", "too short"),
+], ids=["short_row", "nan_pose", "nan_pressure", "header_only"])
+@pytest.mark.parametrize("stage", ["detect", "estimate"])
+def test_malformed_stream_exit_1(workdir, tmp_path, capsys, stage, body, message):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("t,q,x,z,theta\n" + body)
+    argv = [stage, "--model", workdir["model"], "--stream", str(stream),
+            "--out-dir", str(tmp_path / "out")]
+    assert run(argv + (["--s0", "200"] if stage == "estimate" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: ") and err.count("\n") == 1
+    assert message in err
+
+
 def shift_t(csv_text, offset):
     lines = csv_text.splitlines()
     out = [lines[0]]
@@ -278,15 +329,25 @@ def test_pipeline_closure(workdir, tmp_path):
     assert abs(doc["s_c_est"] - truth) <= 1.0
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy alone serves the package; scipy's import cost every CLI call
+def imported_by_cli(*packages):
+    """Modules of the given top-level packages loaded by importing the CLI
+    in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, bellowkin.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+            f"if m.split('.')[0] in {packages!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy alone serves the package; scipy's import cost every CLI call
+    assert imported_by_cli("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the sweep runs in-process; a process pool's import cost every CLI call
+    assert imported_by_cli("multiprocessing", "concurrent") == "[]"

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bellowkin.centrode import (CentrodePoint, CentrodeTrace, centrode_from_stream,
-                                fixed_centrode)
+from bellowkin.centrode import CentrodeTrace, centrode_from_stream, fixed_centrode
 from bellowkin.contact import contact_tip_pose, contact_tip_twist, freeze
 from bellowkin.estimation import (
     EstimationProblem,
@@ -25,8 +24,7 @@ TRUTH = 100.0
 def sensed_scenario(reference_model):
     samples, _ = simulate_contact(reference_model, RAMP, s_c=TRUTH, q_c=5.0)
     sensed = centrode_from_stream(samples)
-    end = samples[-1].pose
-    return sensed, (end.x, end.z)
+    return sensed, (samples.x[-1], samples.z[-1])
 
 
 def test_predicted_centrode_matches_per_sample_path(reference_model):
@@ -38,15 +36,15 @@ def test_predicted_centrode_matches_per_sample_path(reference_model):
         pose = contact_tip_pose(reference_model, contact, float(qk))
         twist = contact_tip_twist(reference_model, contact, float(qk), qdot)
         ref = fixed_centrode(pose, twist, t_index=k)
-        assert pred[k].valid == ref.valid
+        assert pred.valid[k] == ref.valid
         if ref.valid:
-            assert pred[k].x == pytest.approx(ref.x, rel=1e-10, abs=1e-10)
-            assert pred[k].z == pytest.approx(ref.z, rel=1e-10, abs=1e-10)
+            assert pred.cx[k] == pytest.approx(ref.x, rel=1e-10, abs=1e-10)
+            assert pred.cz[k] == pytest.approx(ref.z, rel=1e-10, abs=1e-10)
 
 
 def test_predicted_centrode_single_step(reference_model):
     pts = predicted_centrode(reference_model, 100.0, [5.0])
-    assert len(pts) == 1
+    assert len(pts.valid) == 1
 
 
 def test_predicted_centrode_bounds(reference_model):
@@ -59,8 +57,8 @@ def test_predicted_centrode_bounds(reference_model):
 def test_truth_hypothesis_matches_sensed(reference_model, sensed_scenario):
     sensed, _ = sensed_scenario
     pred = predicted_centrode(reference_model, TRUTH, RAMP.values)
-    gaps = [np.hypot(s.x - p.x, s.z - p.z)
-            for s, p in zip(sensed, pred) if s.valid and p.valid]
+    both = sensed.valid & pred.valid
+    gaps = np.hypot(sensed.cx - pred.cx, sensed.cz - pred.cz)[both]
     assert len(gaps) > 250
     # residual is differencing error only
     assert max(gaps) <= 0.5
@@ -112,9 +110,9 @@ def test_normal_equation_step_small_at_truth(reference_model, sensed_scenario):
     dc = centrode_gradient_analytic(reference_model, TRUTH, RAMP.values)
     g = 0.0
     H = 0.0
-    for k, (s, p) in enumerate(zip(sensed, pred)):
-        if s.valid and p.valid and np.all(np.isfinite(dc[k])):
-            r = np.array([s.x - p.x, s.z - p.z])
+    for k in range(len(sensed.valid)):
+        if sensed.valid[k] and pred.valid[k] and np.all(np.isfinite(dc[k])):
+            r = np.array([sensed.cx[k] - pred.cx[k], sensed.cz[k] - pred.cz[k]])
             J = -dc[k]
             g += float(J @ r)
             H += float(J @ J)
@@ -126,9 +124,9 @@ def test_descent_direction_toward_truth(reference_model, sensed_scenario):
     pred = predicted_centrode(reference_model, 200.0, RAMP.values)
     dc = centrode_gradient_analytic(reference_model, 200.0, RAMP.values)
     g = 0.0
-    for k, (s, p) in enumerate(zip(sensed, pred)):
-        if s.valid and p.valid and np.all(np.isfinite(dc[k])):
-            r = np.array([s.x - p.x, s.z - p.z])
+    for k in range(len(sensed.valid)):
+        if sensed.valid[k] and pred.valid[k] and np.all(np.isfinite(dc[k])):
+            r = np.array([sensed.cx[k] - pred.cx[k], sensed.cz[k] - pred.cz[k]])
             g += float(-dc[k] @ r)
     # positive scalar gradient drives the Gauss-Newton step downward, toward 100
     assert g > 0
@@ -177,7 +175,7 @@ def test_objective_never_worse_than_start(reference_model, sensed_scenario):
 
 def test_estimate_invariant_under_weight_rescale(reference_model, sensed_scenario):
     sensed, _ = sensed_scenario
-    w = 7.3 * np.ones(len(sensed))
+    w = 7.3 * np.ones(len(sensed.valid))
     base = EstimationProblem(model=reference_model, q_traj=RAMP.values,
                              sensed=sensed, s0=200.0)
     scaled = EstimationProblem(model=reference_model, q_traj=RAMP.values,
@@ -206,11 +204,10 @@ def test_matrix_and_per_sample_weights(reference_model, sensed_scenario):
     assert abs(results["diagonal"] - results["vector"]) <= 1e-12
 
 
-def test_sensed_trace_as_arrays_or_points(reference_model, sensed_scenario):
+def test_sensed_trace_as_arrays_or_lists(reference_model, sensed_scenario):
     sensed, end = sensed_scenario
-    trace = CentrodeTrace(cx=np.array([p.x for p in sensed]),
-                          cz=np.array([p.z for p in sensed]),
-                          valid=np.array([p.valid for p in sensed]))
+    trace = CentrodeTrace(cx=sensed.cx.tolist(), cz=sensed.cz.tolist(),
+                          valid=sensed.valid.tolist())
     results = []
     for given in (sensed, trace):
         problem = EstimationProblem(model=reference_model, q_traj=RAMP.values,
@@ -224,7 +221,7 @@ def test_sensed_trace_as_arrays_or_points(reference_model, sensed_scenario):
 def test_speed_weights_shape_and_range(reference_model, sensed_scenario):
     sensed, _ = sensed_scenario
     w = speed_weights(sensed)
-    assert len(w) == len(sensed)
+    assert len(w) == len(sensed.valid)
     assert np.all(w > 0) and np.all(w <= 1.0)
 
 
@@ -268,8 +265,8 @@ def test_problem_validation(reference_model, sensed_scenario):
                           s0=100.0)
     with pytest.raises(ValueError, match="positive"):
         EstimationProblem(model=reference_model, q_traj=q, sensed=sensed,
-                          s0=100.0, W=-np.ones(len(sensed)))
-    bad = np.eye(2 * len(sensed))
+                          s0=100.0, W=-np.ones(len(sensed.valid)))
+    bad = np.eye(2 * len(sensed.valid))
     bad[0, 1] = 0.5  # asymmetric
     with pytest.raises(ValueError, match="symmetric"):
         EstimationProblem(model=reference_model, q_traj=q, sensed=sensed,
@@ -278,7 +275,7 @@ def test_problem_validation(reference_model, sensed_scenario):
 
 def test_objective_requires_valid_overlap(reference_model):
     q = RAMP.values[:10]
-    dead = [CentrodePoint(x=np.nan, z=np.nan, valid=False, t_index=k)
-            for k in range(len(q))]
+    dead = CentrodeTrace(cx=np.full(len(q), np.nan), cz=np.full(len(q), np.nan),
+                         valid=np.zeros(len(q), dtype=bool))
     with pytest.raises(ValueError, match="no overlapping valid"):
         centrode_objective(reference_model, 100.0, q, dead)

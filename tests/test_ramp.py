@@ -126,13 +126,14 @@ def test_contact_ramp_rejects_release(reference_model):
 def test_simulate_contact_splits_at_onset(reference_model):
     r = PressureRamp(5.0, 8.0, 0.25)
     samples, contact = pipeline.simulate_contact(reference_model, r, 120.0, 6.5)
-    for s in samples:
-        ref = (tip_pose(reference_model, s.q) if s.q < 6.5
-               else contact_tip_pose(reference_model, contact, s.q))
-        assert abs(s.pose.x - ref.x) <= TOL_LU
-        assert abs(s.pose.z - ref.z) <= TOL_LU
-        assert abs(s.pose.theta - ref.theta) <= 1e-12
-    assert [s.t for s in samples] == list(range(len(r.values)))
+    for q, x, z, theta in zip(samples.q.tolist(), samples.x, samples.z,
+                              samples.theta):
+        ref = (tip_pose(reference_model, q) if q < 6.5
+               else contact_tip_pose(reference_model, contact, q))
+        assert abs(x - ref.x) <= TOL_LU
+        assert abs(z - ref.z) <= TOL_LU
+        assert abs(theta - ref.theta) <= 1e-12
+    assert samples.t.tolist() == list(range(len(r.values)))
 
 
 def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
