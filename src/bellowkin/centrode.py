@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .io import read_table, write_columns
-from .kinematics import PlanarPose, PlanarTwist, wrap_angles
+from .kinematics import wrap_angles
 
 EPS_OMEGA = 1e-9
 DEFAULT_WINDOW = 3
@@ -21,14 +21,6 @@ DEFAULT_XI_FACTOR = 3.0
 DEFAULT_XI_PERCENTILE = 95.0
 POSE_STREAM_HEADER = ["t", "q", "x", "z", "theta"]
 CENTRODE_HEADER = ["t", "valid", "cx", "cz"]
-
-
-@dataclass(frozen=True)
-class CentrodePoint:
-    x: float
-    z: float
-    valid: bool
-    t_index: int = 0
 
 
 class PoseStream(NamedTuple):
@@ -54,23 +46,13 @@ class CentrodeTrace(NamedTuple):
     valid: np.ndarray
 
 
-def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
-                   t_index: int = 0) -> CentrodePoint:
-    """Instantaneous center of rotation in the fixed frame.
-
-    Invalid (center at infinity) when |omega| < EPS_OMEGA; rot90 turns the
-    planar velocity +90 degrees about the plane normal.
-    """
-    if abs(twist.omega) < EPS_OMEGA:
-        return CentrodePoint(x=float("nan"), z=float("nan"), valid=False,
-                             t_index=t_index)
-    cx = pose.x + (-twist.vz) / twist.omega
-    cz = pose.z + twist.vx / twist.omega
-    return CentrodePoint(x=float(cx), z=float(cz), valid=True, t_index=t_index)
-
-
 def instant_centers(x, z, vx, vz, omega) -> CentrodeTrace:
-    """fixed_centrode over arrays of pose and twist components."""
+    """Instantaneous centers of rotation in the fixed frame from arrays of
+    tip pose and twist components: c = P + rot90(v)/omega, rot90 turning
+    the planar velocity +90 degrees about the plane normal.
+
+    Invalid (center at infinity, NaN) where |omega| < EPS_OMEGA.
+    """
     valid = np.abs(omega) >= EPS_OMEGA
     with np.errstate(divide="ignore", invalid="ignore"):
         cx = np.where(valid, x + (-vz) / omega, np.nan)
@@ -137,7 +119,7 @@ def fcd_detect(c_sensed: CentrodeTrace, c_model: CentrodeTrace, xi: float,
     (they neither extend nor reset a run); onset_t is t (the stream's own
     steps; 0, 1, ... when not given) at the first sample of the run.
     """
-    if xi <= 0:
+    if not xi > 0:  # NaN fails too
         raise ValueError("xi must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")

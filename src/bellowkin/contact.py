@@ -10,6 +10,11 @@ tangent differs.
 
 Pressure is assumed non-decreasing after onset; dropping below q_c would
 un-pin the contact, so those queries are rejected.
+
+This module records the frozen state (freeze, station_pose) and gives the
+piecewise tangent field (contact_theta).  The contacted tip pose and twist
+over a ramp come from kinematics.ramp_kinematics with the ContactState;
+contact_tip_pose is its single-pressure read.
 """
 
 import json
@@ -18,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal
-from .kinematics import DEFAULT_PANELS, PlanarPose, PlanarTwist
-from .quadrature import cumulative_stations, panel_nodes
-
-_Q_TOL = 1e-12
+from .kinematics import DEFAULT_PANELS, PlanarPose, _check_q, ramp_kinematics
+from .quadrature import cumulative_stations
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,6 @@ def freeze(model: modal.ModalModel, q_c: float, s_c: float,
                         base_pose_c=station_pose(model, q_c, s_c, n_stations))
 
 
-def _check_q(contact: ContactState, q: float):
-    # un-pinning (pressure release below onset) invalidates the frozen state
-    if q < contact.q_c - _Q_TOL:
-        raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
-
-
 def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
     """Tangent angle of the contacted backbone at arc length s, pressure q.
 
@@ -120,56 +117,9 @@ def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
     return float(out[0]) if scalar else out
 
 
-def _distal_field(model, contact, q):
-    """World tangent over the distal local coordinate u in [0, L - s_c]."""
-    th_off = modal.theta(model, contact.s_c, contact.q_c)
-    base0 = modal.theta(model, 0.0, q)
-    return lambda u: th_off + modal.theta(model, u, q) - base0
-
-
 def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
                      n_panels: int = DEFAULT_PANELS) -> PlanarPose:
-    """Tip pose of the contacted backbone; the frozen part contributes
-    base_pose_c, the distal part a quadrature over the remaining arc."""
-    _check_q(contact, q)
-    ell = model.L - contact.s_c
-    field = _distal_field(model, contact, q)
-    base = contact.base_pose_c
-    if ell == 0.0:
-        return PlanarPose(x=base.x, z=base.z, theta=field(0.0))
-    nodes, weights = panel_nodes(0.0, ell, n_panels)
-    th = field(nodes)
-    return PlanarPose(x=base.x + float(np.cos(th) @ weights),
-                      z=base.z + float(np.sin(th) @ weights),
-                      theta=field(ell))
-
-
-def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
-                     n_panels: int = DEFAULT_PANELS) -> np.ndarray:
-    """Actuation Jacobian after contact: (dx/dq, dz/dq, dtheta_L/dq).
-
-    The frozen portion is pressure-independent (zero rows); only the distal
-    arc of length L - s_c responds.  The integrand differentiates the same
-    node layout as contact_tip_pose, so this is the exact derivative of the
-    discrete tip position.
-    """
-    _check_q(contact, q)
-    ell = model.L - contact.s_c
-    if ell == 0.0:
-        return np.zeros(3)
-    field = _distal_field(model, contact, q)
-    nodes, weights = panel_nodes(0.0, ell, n_panels)
-    th = field(nodes)
-    d0 = modal.dtheta_dq(model, 0.0, q)
-    dth = modal.dtheta_dq(model, nodes, q) - d0
-    dthL = modal.dtheta_dq(model, ell, q) - d0
-    dx = float((-np.sin(th) * dth) @ weights)
-    dz = float((np.cos(th) * dth) @ weights)
-    return np.array([dx, dz, dthL])
-
-
-def contact_tip_twist(model: modal.ModalModel, contact: ContactState, q: float,
-                      qdot: float, n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
-    """Tip twist of the contacted backbone under pressure rate qdot."""
-    J = contact_jacobian(model, contact, q, n_panels=n_panels)
-    return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)
+    """Tip pose of the contacted backbone at pressure q: one sample of
+    kinematics.ramp_kinematics under the contact."""
+    k = ramp_kinematics(model, [q], contact, n_panels=n_panels)
+    return PlanarPose(x=float(k.x[0]), z=float(k.z[0]), theta=float(k.theta[0]))

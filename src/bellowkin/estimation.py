@@ -13,9 +13,8 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace
-from .contact import contact_tip_pose, freeze
 from .kinematics import DEFAULT_PANELS
-from .ramp import hypothesis_centrode, hypothesis_centrode_gradient
+from .ramp import _pinned_ramp, hypothesis_centrode, hypothesis_centrode_gradient
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -92,8 +91,7 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
     scale-invariant).  Evaluation batches the whole ramp through
-    ramp.hypothesis_centrode; it matches the per-sample contact_tip_pose /
-    contact_tip_twist path.
+    ramp.hypothesis_centrode.
     """
     return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj),
                                n_panels=n_panels)
@@ -137,15 +135,6 @@ def centrode_objective(model: modal.ModalModel, s_c: float, q_traj, sensed,
     r, _, mask = _residual(model, s_c, _ramp_values(q_traj),
                            _sensed_arrays(sensed), n_panels)
     return 0.5 * float(r @ _apply_weight(r, W, mask))
-
-
-def centrode_gradient_analytic(model: modal.ModalModel, s_c_hyp: float, q_traj,
-                               n_panels: int = DEFAULT_PANELS) -> np.ndarray:
-    """Exact-chain-rule d(centrode)/d(s_c), (m, 2); NaN rows where the
-    centrode is invalid.  See ramp.hypothesis_centrode_gradient."""
-    g = hypothesis_centrode_gradient(model, s_c_hyp, _ramp_values(q_traj),
-                                     n_panels=n_panels)
-    return np.column_stack((g.dcx, g.dcz))
 
 
 def _objective_state(problem: EstimationProblem, s_c: float, n_panels: int):
@@ -212,11 +201,11 @@ def estimate_contact(problem: EstimationProblem,
                 break
     end_tip_err = float("nan")
     if problem.sensed_end_pose is not None:
-        contact = freeze(problem.model, float(problem.q_traj[0]), s_c)
-        tip = contact_tip_pose(problem.model, contact,
-                               float(problem.q_traj[-1]), n_panels=n_panels)
+        # the pin at s_c from q_traj[0] on, read at the last pressure
+        _, _, tip = _pinned_ramp(problem.model, s_c, problem.q_traj[[0, -1]],
+                                 n_panels)
         ex, ez = problem.sensed_end_pose
-        end_tip_err = float(np.hypot(tip.x - ex, tip.z - ez))
+        end_tip_err = float(np.hypot(tip.x[-1] - ex, tip.z[-1] - ez))
     report = {
         "s_c_est": s_c,
         "iterations": iterations,

@@ -1,5 +1,9 @@
 """Forward and instantaneous kinematics of the planar bellow actuator.
 
+ramp_kinematics integrates the tip pose and twist over a whole pressure
+ramp, free or under a pinning contact; tip_pose, jacobian, resolved_rates
+and contact.contact_tip_pose read single samples of it.
+
 Positions live in the bending plane with coordinates (x, z); the tangent
 angle is measured from the +x axis, so a straight actuator lies along +x.
 Positive angular rate means the tangent angle is increasing (counterclockwise
@@ -9,14 +13,15 @@ with x right and z up).
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import modal
-from .io import write_csv
 from .quadrature import cumulative_stations, panel_nodes
 
 DEFAULT_PANELS = 20
+_Q_TOL = 1e-12
 
 
 def wrap_angle(a: float) -> float:
@@ -53,23 +58,6 @@ class PlanarPose:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.z])
-
-
-@dataclass
-class PlanarTwist:
-    """Linear velocity plus signed angular rate about the bending-plane normal."""
-
-    vx: float
-    vz: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.vx) and math.isfinite(self.vz) and math.isfinite(self.omega)):
-            raise ValueError("twist components must be finite")
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vz])
 
 
 def cc_pose(kappa: float, s: float) -> PlanarPose:
@@ -109,44 +97,79 @@ def shape(model: modal.ModalModel, q: float, n: int) -> list:
             for k in range(n)]
 
 
-def pose_at(model: modal.ModalModel, q: float, s: float,
-            n_panels: int = DEFAULT_PANELS) -> PlanarPose:
-    """Pose of the station at arc length s (quadrature from the base)."""
-    s = float(model._check_s(s))
-    if s == 0.0:
-        return PlanarPose(x=0.0, z=0.0, theta=modal.theta(model, 0.0, q))
-    nodes, weights = panel_nodes(0.0, s, n_panels)
-    th = modal.theta(model, nodes, q)
-    return PlanarPose(x=float(np.cos(th) @ weights), z=float(np.sin(th) @ weights),
-                      theta=modal.theta(model, s, q))
+def _check_q(contact, q: float):
+    # un-pinning (pressure release below onset) invalidates the frozen state
+    if q < contact.q_c - _Q_TOL:
+        raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
+
+
+class RampKinematics(NamedTuple):
+    """Tip pose (x, z, theta) and twist (vx, vz, omega) per ramp sample."""
+
+    x: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+    vx: np.ndarray
+    vz: np.ndarray
+    omega: np.ndarray
+
+
+def ramp_kinematics(model: modal.ModalModel, q, contact=None,
+                    qdot=1.0, n_panels: int = DEFAULT_PANELS) -> RampKinematics:
+    """Tip poses and twists at every pressure of q, twists at rate qdot.
+
+    The field's values on the quadrature nodes for every sample are one
+    (nodes x samples) matrix product; poses and twists are weighted sums
+    down the node axis, and the twists differentiate the same node layout,
+    so they are the exact derivative of the discrete tip pose.
+
+    contact=None is the free backbone over [0, L].  A contact.ContactState
+    (of which only s_c, q_c and base_pose_c are read) gives the
+    contacted backbone: the frozen base pose plus the distal field over
+    [0, L - s_c], re-based to start at the frozen tangent (contact_theta),
+    so every q must be at or above the onset pressure.
+    """
+    q = np.asarray(q, dtype=float)
+    if contact is None:
+        ell, x0, z0 = model.L, 0.0, 0.0
+    else:
+        if q.size:
+            _check_q(contact, float(q.min()))
+        ell = model.L - contact.s_c
+        x0, z0 = contact.base_pose_c.x, contact.base_pose_c.z
+    nodes, wts = panel_nodes(0.0, ell, n_panels)
+    s = np.concatenate(([0.0, ell], nodes))
+    # (nodes x samples) arrays are updated in place: a long ramp holds
+    # three of them at a time instead of eight
+    th = modal.theta_grid(model, s, q)
+    g = modal.dtheta_dq_grid(model, s, q)
+    if contact is not None:
+        base0 = th[0].copy()
+        th += modal.theta(model, contact.s_c, contact.q_c)
+        th -= base0
+        g -= g[0].copy()
+    theta, omega = wrap_angles(th[1]), qdot * g[1]
+    th, g = th[2:], g[2:]
+    cos_t = np.cos(th)
+    sin_t = np.sin(th, out=th)
+    x, z = x0 + wts @ cos_t, z0 + wts @ sin_t
+    vz = qdot * (wts @ np.multiply(cos_t, g, out=cos_t))
+    vx = qdot * (wts @ np.multiply(np.negative(sin_t, out=sin_t), g, out=sin_t))
+    return RampKinematics(x=x, z=z, theta=theta, vx=vx, vz=vz, omega=omega)
 
 
 def tip_pose(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> PlanarPose:
-    """Tip pose; same node layout as shape(model, q, n_panels + 1)."""
-    return pose_at(model, q, model.L, n_panels=n_panels)
+    """Tip pose at pressure q: one sample of ramp_kinematics."""
+    k = ramp_kinematics(model, [q], n_panels=n_panels)
+    return PlanarPose(x=float(k.x[0]), z=float(k.z[0]), theta=float(k.theta[0]))
 
 
 def jacobian(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> np.ndarray:
-    """Actuation Jacobian (dx/dq, dz/dq, dtheta_L/dq) at pressure q.
-
-    The position rows differentiate the shape quadrature under the integral
-    sign on the identical node layout, so they are the exact derivative of
-    the discrete tip position.
-    """
+    """Actuation Jacobian (dx/dq, dz/dq, dtheta_L/dq) at pressure q: the
+    unit-rate twist of one sample of ramp_kinematics."""
     _warn_extrapolation(model, q)
-    nodes, weights = panel_nodes(0.0, model.L, n_panels)
-    th = modal.theta(model, nodes, q)
-    dth = modal.dtheta_dq(model, nodes, q)
-    dx = float((-np.sin(th) * dth) @ weights)
-    dz = float((np.cos(th) * dth) @ weights)
-    return np.array([dx, dz, modal.dtheta_dq(model, model.L, q)])
-
-
-def tip_twist(model: modal.ModalModel, q: float, qdot: float,
-              n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
-    """End-effector twist produced by pressure rate qdot."""
-    J = jacobian(model, q, n_panels=n_panels)
-    return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)
+    k = ramp_kinematics(model, [q], n_panels=n_panels)
+    return np.array([k.vx[0], k.vz[0], k.omega[0]])
 
 
 @dataclass
@@ -181,28 +204,28 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     errs = []
     best_q, best_err = q, math.inf
     converged = stalled = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # transient overshoot past q_range is expected
-        for i in range(max_iter + 1):
-            pose = tip_pose(model, q, n_panels=n_panels)
-            e = x_des - pose.position
-            err = float(np.hypot(e[0], e[1]))
-            trace.append((i, q, pose.x, pose.z, err))
-            errs.append(err)
-            if err < best_err:
-                best_q, best_err = q, err
-            if err <= tol:
-                converged = True
-                break
-            if i >= 20 and errs[-21] - err < 1e-12 * errs[-21]:
-                stalled = True
-                break
-            if i == max_iter:
-                break
-            J = jacobian(model, q, n_panels=n_panels)[:2]
-            jj = float(J @ J)
-            lam = 1e-6 * math.sqrt(jj)
-            q = q + float(J @ (alpha * e)) / (jj + lam * lam)
+    for i in range(max_iter + 1):
+        # one kernel sample gives the tip position and its Jacobian
+        k = ramp_kinematics(model, [q], n_panels=n_panels)
+        x, z = float(k.x[0]), float(k.z[0])
+        e = x_des - np.array([x, z])
+        err = float(np.hypot(e[0], e[1]))
+        trace.append((i, q, x, z, err))
+        errs.append(err)
+        if err < best_err:
+            best_q, best_err = q, err
+        if err <= tol:
+            converged = True
+            break
+        if i >= 20 and errs[-21] - err < 1e-12 * errs[-21]:
+            stalled = True
+            break
+        if i == max_iter:
+            break
+        J = np.array([k.vx[0], k.vz[0]])
+        jj = float(J @ J)
+        lam = 1e-6 * math.sqrt(jj)
+        q = q + float(J @ (alpha * e)) / (jj + lam * lam)
 
     if converged:
         return RRResult(q=q, err=errs[-1], converged=True, stalled=False,
@@ -210,15 +233,3 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     return RRResult(q=best_q, err=best_err, converged=False, stalled=stalled,
                     iterations=len(trace) - 1, trace=trace)
 
-
-def write_shape_csv(path, model: modal.ModalModel, q: float, n: int):
-    """Backbone stations as CSV rows `s,x,z,theta`."""
-    stations = np.linspace(0.0, model.L, n)
-    poses = shape(model, q, n)
-    rows = [(float(s), p.x, p.z, p.theta) for s, p in zip(stations, poses)]
-    write_csv(path, ["s", "x", "z", "theta"], rows)
-
-
-def write_rr_trace(path, result: RRResult):
-    """Resolved-rates iterations as CSV rows `iter,q,x,z,err`."""
-    write_csv(path, ["iter", "q", "x", "z", "err"], result.trace)

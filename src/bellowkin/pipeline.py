@@ -13,9 +13,9 @@ import numpy as np
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
 from .contact import freeze
-from .kinematics import DEFAULT_PANELS, wrap_angles
-from .ramp import (RampKinematics, hypothesis_centrode, ramp_centrode,
-                   ramp_kinematics)
+from .kinematics import (DEFAULT_PANELS, RampKinematics, ramp_kinematics,
+                         wrap_angles)
+from .ramp import hypothesis_centrode
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class PressureRamp:
     step: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.q_start, self.q_end, self.step])):
+            raise ValueError("ramp start, end and step must be finite")
         if self.q_end < self.q_start:
             raise ValueError("ramp must be non-decreasing")
         if self.q_end > self.q_start and self.step <= 0:
@@ -156,8 +158,8 @@ def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp, s_c: float,
     s_c = 0 pins the clamped base itself: the backbone is unchanged and the
     two centrodes coincide, so the index is exactly zero.
     """
-    q, qdot = _pressures(ramp)
-    free = ramp_centrode(model, q, qdot=qdot, n_panels=n_panels)
+    q, _ = _pressures(ramp)
+    free = model_centrode(model, ramp, n_panels)
     return _isa_index(model, q, free, s_c, n_panels)
 
 
@@ -167,7 +169,7 @@ def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values,
 
     The free centrode is computed once and shared by every location.
     """
-    q, qdot = _pressures(ramp)
-    free = ramp_centrode(model, q, qdot=qdot, n_panels=n_panels)
+    q, _ = _pressures(ramp)
+    free = model_centrode(model, ramp, n_panels)
     s_values = [float(s_c) for s_c in s_values]
     return [(s_c, _isa_index(model, q, free, s_c, n_panels)) for s_c in s_values]

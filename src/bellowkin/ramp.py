@@ -1,12 +1,11 @@
-"""Batched ramp kinematics: tip poses, twists and centrodes over a whole
-pressure ramp from one evaluation of the modal field.
+"""Centrodes of contact hypotheses over a whole pressure ramp, from one
+pass of the ramp kernel.
 
-The tangent field theta(s, q) = psi(s)^T A eta(q) is separable, so its values
-on the quadrature nodes for every sample of a ramp are one (nodes x samples)
-matrix product.  Poses and twists are weighted sums down the node axis, on
-the node layout of the per-sample kinematics.tip_pose / tip_twist and
-contact.contact_tip_pose / contact_tip_twist, which stay the scalar
-references for single-pressure queries.
+A hypothesis pins the backbone at s_c from the first pressure of the ramp
+on; kinematics.ramp_kinematics gives the contacted tip poses and twists,
+centrode.instant_centers maps them to centers, and the exact derivative of
+those centers in s_c comes from the same kernel pass.  The estimator's
+residual and its gradient are built on these.
 """
 
 import math
@@ -16,67 +15,8 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, instant_centers
-from .contact import ContactState, _check_q, station_pose
-from .kinematics import DEFAULT_PANELS, PlanarPose, wrap_angles
-from .quadrature import panel_nodes
-
-
-class RampKinematics(NamedTuple):
-    """Tip pose (x, z, theta) and twist (vx, vz, omega) per ramp sample."""
-
-    x: np.ndarray
-    z: np.ndarray
-    theta: np.ndarray
-    vx: np.ndarray
-    vz: np.ndarray
-    omega: np.ndarray
-
-
-def ramp_kinematics(model: modal.ModalModel, q, contact: ContactState = None,
-                    qdot=1.0, n_panels: int = DEFAULT_PANELS) -> RampKinematics:
-    """Tip poses and twists at every pressure of q, twists at rate qdot.
-
-    contact=None is the free backbone over [0, L].  A ContactState (of
-    which only s_c, q_c and base_pose_c are read) gives the
-    contacted backbone: the frozen base pose plus the distal field over
-    [0, L - s_c], re-based to start at the frozen tangent (contact_theta),
-    so every q must be at or above the onset pressure.
-    """
-    q = np.asarray(q, dtype=float)
-    if contact is None:
-        ell, x0, z0 = model.L, 0.0, 0.0
-    else:
-        if q.size:
-            _check_q(contact, float(q.min()))
-        ell = model.L - contact.s_c
-        x0, z0 = contact.base_pose_c.x, contact.base_pose_c.z
-    nodes, wts = panel_nodes(0.0, ell, n_panels)
-    s = np.concatenate(([0.0, ell], nodes))
-    # (nodes x samples) arrays are updated in place: a long ramp holds
-    # three of them at a time instead of eight
-    th = modal.theta_grid(model, s, q)
-    g = modal.dtheta_dq_grid(model, s, q)
-    if contact is not None:
-        base0 = th[0].copy()
-        th += modal.theta(model, contact.s_c, contact.q_c)
-        th -= base0
-        g -= g[0].copy()
-    theta, omega = wrap_angles(th[1]), qdot * g[1]
-    th, g = th[2:], g[2:]
-    cos_t = np.cos(th)
-    sin_t = np.sin(th, out=th)
-    x, z = x0 + wts @ cos_t, z0 + wts @ sin_t
-    vz = qdot * (wts @ np.multiply(cos_t, g, out=cos_t))
-    vx = qdot * (wts @ np.multiply(np.negative(sin_t, out=sin_t), g, out=sin_t))
-    return RampKinematics(x=x, z=z, theta=theta, vx=vx, vz=vz, omega=omega)
-
-
-def ramp_centrode(model: modal.ModalModel, q, contact: ContactState = None,
-                  qdot=1.0, n_panels: int = DEFAULT_PANELS) -> CentrodeTrace:
-    """Fixed centrode of the tip at every pressure of q (see
-    ramp_kinematics); invalid where |qdot * dtheta_L/dq| < EPS_OMEGA."""
-    k = ramp_kinematics(model, q, contact, qdot, n_panels)
-    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+from .contact import station_pose
+from .kinematics import DEFAULT_PANELS, PlanarPose, ramp_kinematics
 
 
 class _Pin(NamedTuple):

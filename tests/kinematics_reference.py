@@ -1,0 +1,154 @@
+"""Per-sample reference for the batched ramp kernel: the tip pose, twist
+and instant center at one pressure, each integrated on its own.
+
+The package itself integrates the tip pose and twist only in
+kinematics.ramp_kinematics; these scalar integrals, on the same node
+layout, are what test_ramp and test_estimation compare it against.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from bellowkin import modal
+from bellowkin.centrode import EPS_OMEGA
+from bellowkin.contact import ContactState
+from bellowkin.kinematics import (DEFAULT_PANELS, PlanarPose, _check_q,
+                                  _warn_extrapolation)
+from bellowkin.quadrature import panel_nodes
+
+
+@dataclass
+class PlanarTwist:
+    """Linear velocity plus signed angular rate about the bending-plane normal."""
+
+    vx: float
+    vz: float
+    omega: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.vx) and math.isfinite(self.vz) and math.isfinite(self.omega)):
+            raise ValueError("twist components must be finite")
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return np.array([self.vx, self.vz])
+
+
+@dataclass(frozen=True)
+class CentrodePoint:
+    x: float
+    z: float
+    valid: bool
+    t_index: int = 0
+
+
+def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
+                   t_index: int = 0) -> CentrodePoint:
+    """Instantaneous center of rotation in the fixed frame.
+
+    Invalid (center at infinity) when |omega| < EPS_OMEGA; rot90 turns the
+    planar velocity +90 degrees about the plane normal.
+    """
+    if abs(twist.omega) < EPS_OMEGA:
+        return CentrodePoint(x=float("nan"), z=float("nan"), valid=False,
+                             t_index=t_index)
+    cx = pose.x + (-twist.vz) / twist.omega
+    cz = pose.z + twist.vx / twist.omega
+    return CentrodePoint(x=float(cx), z=float(cz), valid=True, t_index=t_index)
+
+
+def pose_at(model: modal.ModalModel, q: float, s: float,
+            n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+    """Pose of the station at arc length s (quadrature from the base)."""
+    s = float(model._check_s(s))
+    if s == 0.0:
+        return PlanarPose(x=0.0, z=0.0, theta=modal.theta(model, 0.0, q))
+    nodes, weights = panel_nodes(0.0, s, n_panels)
+    th = modal.theta(model, nodes, q)
+    return PlanarPose(x=float(np.cos(th) @ weights), z=float(np.sin(th) @ weights),
+                      theta=modal.theta(model, s, q))
+
+
+def tip_pose(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+    """Tip pose; same node layout as shape(model, q, n_panels + 1)."""
+    return pose_at(model, q, model.L, n_panels=n_panels)
+
+
+def jacobian(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> np.ndarray:
+    """Actuation Jacobian (dx/dq, dz/dq, dtheta_L/dq) at pressure q.
+
+    The position rows differentiate the shape quadrature under the integral
+    sign on the identical node layout, so they are the exact derivative of
+    the discrete tip position.
+    """
+    _warn_extrapolation(model, q)
+    nodes, weights = panel_nodes(0.0, model.L, n_panels)
+    th = modal.theta(model, nodes, q)
+    dth = modal.dtheta_dq(model, nodes, q)
+    dx = float((-np.sin(th) * dth) @ weights)
+    dz = float((np.cos(th) * dth) @ weights)
+    return np.array([dx, dz, modal.dtheta_dq(model, model.L, q)])
+
+
+def tip_twist(model: modal.ModalModel, q: float, qdot: float,
+              n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
+    """End-effector twist produced by pressure rate qdot."""
+    J = jacobian(model, q, n_panels=n_panels)
+    return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)
+
+
+def _distal_field(model, contact, q):
+    """World tangent over the distal local coordinate u in [0, L - s_c]."""
+    th_off = modal.theta(model, contact.s_c, contact.q_c)
+    base0 = modal.theta(model, 0.0, q)
+    return lambda u: th_off + modal.theta(model, u, q) - base0
+
+
+def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
+                     n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+    """Tip pose of the contacted backbone; the frozen part contributes
+    base_pose_c, the distal part a quadrature over the remaining arc."""
+    _check_q(contact, q)
+    ell = model.L - contact.s_c
+    field = _distal_field(model, contact, q)
+    base = contact.base_pose_c
+    if ell == 0.0:
+        return PlanarPose(x=base.x, z=base.z, theta=field(0.0))
+    nodes, weights = panel_nodes(0.0, ell, n_panels)
+    th = field(nodes)
+    return PlanarPose(x=base.x + float(np.cos(th) @ weights),
+                      z=base.z + float(np.sin(th) @ weights),
+                      theta=field(ell))
+
+
+def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
+                     n_panels: int = DEFAULT_PANELS) -> np.ndarray:
+    """Actuation Jacobian after contact: (dx/dq, dz/dq, dtheta_L/dq).
+
+    The frozen portion is pressure-independent (zero rows); only the distal
+    arc of length L - s_c responds.  The integrand differentiates the same
+    node layout as contact_tip_pose, so this is the exact derivative of the
+    discrete tip position.
+    """
+    _check_q(contact, q)
+    ell = model.L - contact.s_c
+    if ell == 0.0:
+        return np.zeros(3)
+    field = _distal_field(model, contact, q)
+    nodes, weights = panel_nodes(0.0, ell, n_panels)
+    th = field(nodes)
+    d0 = modal.dtheta_dq(model, 0.0, q)
+    dth = modal.dtheta_dq(model, nodes, q) - d0
+    dthL = modal.dtheta_dq(model, ell, q) - d0
+    dx = float((-np.sin(th) * dth) @ weights)
+    dz = float((np.cos(th) * dth) @ weights)
+    return np.array([dx, dz, dthL])
+
+
+def contact_tip_twist(model: modal.ModalModel, contact: ContactState, q: float,
+                      qdot: float, n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
+    """Tip twist of the contacted backbone under pressure rate qdot."""
+    J = contact_jacobian(model, contact, q, n_panels=n_panels)
+    return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)

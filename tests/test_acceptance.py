@@ -18,13 +18,12 @@ from bellowkin.calibration import fit_modal
 from bellowkin.centrode import (
     PoseStream,
     centrode_from_stream,
-    fixed_centrode,
+    instant_centers,
 )
 from bellowkin.cli import main as cli_main
 from bellowkin.estimation import EstimationProblem, estimate_contact, grid_oracle
 from bellowkin.kinematics import (
     PlanarPose,
-    PlanarTwist,
     cc_pose,
     jacobian,
     resolved_rates,
@@ -125,11 +124,10 @@ def test_criterion_5_centrode_identities():
         for r, phi in [(5.0, 0.3), (40.0, 2.1), (0.5, 4.0)]:
             P = PlanarPose(x=a + r * math.cos(phi), z=b + r * math.sin(phi),
                            theta=0.0)
-            V = PlanarTwist(vx=-om * r * math.sin(phi),
-                            vz=om * r * math.cos(phi), omega=om)
-            c = fixed_centrode(P, V)
+            c = instant_centers(P.x, P.z, -om * r * math.sin(phi),
+                                om * r * math.cos(phi), om)
             assert c.valid
-            assert math.hypot(c.x - a, c.z - b) <= 1e-9
+            assert math.hypot(c.cx - a, c.cz - b) <= 1e-9
 
         # stream differencing at 0.01 rad steps
         k = np.arange(100)

@@ -11,14 +11,14 @@ from bellowkin.centrode import (
     centrode_from_stream,
     default_threshold,
     fcd_detect,
-    fixed_centrode,
+    instant_centers,
     isa_difference,
     read_centrode,
     read_pose_stream,
     write_centrode,
     write_pose_stream,
 )
-from bellowkin.kinematics import PlanarPose, PlanarTwist, wrap_angles
+from bellowkin.kinematics import PlanarPose, wrap_angles
 from bellowkin.pipeline import PressureRamp, model_centrode, simulate_free
 from tests.fcd_reference import fcd_onset_loop
 
@@ -38,43 +38,44 @@ def assert_same_stream(a, b):
         assert np.array_equal(u, v), name
 
 
+def center(pose, vx, vz, omega):
+    """instant_centers at one pose and twist, as (cx, cz, valid)."""
+    c = instant_centers(*np.array([[pose.x, pose.z, vx, vz, omega]]).T)
+    return float(c.cx[0]), float(c.cz[0]), bool(c.valid[0])
+
+
 def test_centrode_rotation_about_origin():
     r, phi, om = 50.0, 0.7, 0.3
     P = PlanarPose(x=r * math.cos(phi), z=r * math.sin(phi), theta=0.0)
-    V = PlanarTwist(vx=-om * P.z, vz=om * P.x, omega=om)
-    c = fixed_centrode(P, V)
-    assert c.valid
-    assert abs(c.x) <= 1e-12 and abs(c.z) <= 1e-12
+    cx, cz, valid = center(P, -om * P.z, om * P.x, om)
+    assert valid
+    assert abs(cx) <= 1e-12 and abs(cz) <= 1e-12
 
 
 def test_centrode_rotation_about_point():
     a, b, r, phi, om = 12.0, -7.0, 30.0, 1.1, -0.2
     P = PlanarPose(x=a + r * math.cos(phi), z=b + r * math.sin(phi), theta=0.0)
-    V = PlanarTwist(vx=-om * r * math.sin(phi), vz=om * r * math.cos(phi),
-                    omega=om)
-    c = fixed_centrode(P, V)
-    assert c.valid
-    assert c.x == pytest.approx(a, abs=1e-12)
-    assert c.z == pytest.approx(b, abs=1e-12)
+    cx, cz, valid = center(P, -om * r * math.sin(phi), om * r * math.cos(phi), om)
+    assert valid
+    assert cx == pytest.approx(a, abs=1e-12)
+    assert cz == pytest.approx(b, abs=1e-12)
 
 
 def test_centrode_translation_invalid():
-    c = fixed_centrode(PlanarPose(x=1.0, z=2.0, theta=0.3),
-                       PlanarTwist(vx=5.0, vz=-2.0, omega=0.0))
-    assert not c.valid
-    assert math.isnan(c.x) and math.isnan(c.z)
+    cx, cz, valid = center(PlanarPose(x=1.0, z=2.0, theta=0.3), 5.0, -2.0, 0.0)
+    assert not valid
+    assert math.isnan(cx) and math.isnan(cz)
 
 
 @given(k=st.floats(-10, 10).filter(lambda v: abs(v) > 1e-3))
 def test_centrode_homogeneous_in_twist(k):
     P = PlanarPose(x=3.0, z=4.0, theta=0.1)
-    V1 = PlanarTwist(vx=1.5, vz=-0.5, omega=0.25)
-    Vk = PlanarTwist(vx=k * V1.vx, vz=k * V1.vz, omega=k * V1.omega)
-    c1 = fixed_centrode(P, V1)
-    ck = fixed_centrode(P, Vk)
-    assert ck.valid
-    assert ck.x == pytest.approx(c1.x, rel=1e-12, abs=1e-12)
-    assert ck.z == pytest.approx(c1.z, rel=1e-12, abs=1e-12)
+    V1 = (1.5, -0.5, 0.25)
+    c1 = center(P, *V1)
+    ck = center(P, *(k * v for v in V1))
+    assert ck[2]
+    assert ck[0] == pytest.approx(c1[0], rel=1e-12, abs=1e-12)
+    assert ck[1] == pytest.approx(c1[1], rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=25)
@@ -86,11 +87,10 @@ def test_centrode_same_for_any_body_point(phi1, phi2, r1, r2):
     centers = []
     for r, phi in [(r1, phi1), (r2, phi2)]:
         P = PlanarPose(x=a + r * math.cos(phi), z=b + r * math.sin(phi), theta=0.0)
-        V = PlanarTwist(vx=-om * r * math.sin(phi), vz=om * r * math.cos(phi),
-                        omega=om)
-        centers.append(fixed_centrode(P, V))
-    assert centers[0].x == pytest.approx(centers[1].x, abs=1e-9)
-    assert centers[0].z == pytest.approx(centers[1].z, abs=1e-9)
+        centers.append(center(P, -om * r * math.sin(phi),
+                              om * r * math.cos(phi), om))
+    assert centers[0][0] == pytest.approx(centers[1][0], abs=1e-9)
+    assert centers[0][1] == pytest.approx(centers[1][1], abs=1e-9)
 
 
 def test_stream_recovers_rigid_center():
@@ -199,8 +199,9 @@ def test_fcd_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="no overlapping valid"):
         fcd_detect(a, b, xi=0.5)
     a, b = mk_trace([0.0, 1.0])
-    with pytest.raises(ValueError):
-        fcd_detect(a, b, xi=0.0)
+    for xi in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            fcd_detect(a, b, xi=xi)
     with pytest.raises(ValueError):
         fcd_detect(a, b, xi=0.5, window=0)
     with pytest.raises(ValueError, match="length"):

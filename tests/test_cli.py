@@ -175,6 +175,29 @@ def test_sweep_out_of_range_exit_1(workdir, tmp_path, capsys, s_values):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("stage, ramp", [
+    ("simulate", "5:inf:0.1"), ("simulate", "5:nan:0.1"),
+    ("simulate", "nan:20:0.1"), ("simulate", "5:20:nan"),
+    ("simulate", "5:20:inf"), ("sweep", "5:inf:0.1"), ("sweep", "5:20:nan"),
+])
+def test_non_finite_ramp_exit_1(workdir, tmp_path, capsys, stage, ramp):
+    out = tmp_path / "out"
+    argv = [stage, "--model", workdir["model"], "--ramp", ramp,
+            "--out-dir", str(out)]
+    assert run(argv + (["--s-values", "0,100"] if stage == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == f"{stage}: ramp start, end and step must be finite\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_detect_nan_xi_exit_1(workdir, tmp_path, capsys):
+    stream = os.path.join(workdir["sim"], "pose_stream.csv")
+    assert run(["detect", "--model", workdir["model"], "--stream", stream,
+                "--xi", "nan", "--out-dir", str(tmp_path / "det")]) == 1
+    assert capsys.readouterr().err == "detect: xi must be positive\n"
+
+
 def test_detect_non_uniform_pressure(workdir, tmp_path):
     # t stays uniform while q follows a quadratic schedule
     with open(workdir["model"]) as f:

@@ -5,16 +5,22 @@ from hypothesis import strategies as st
 
 from bellowkin.contact import (
     ContactState,
-    contact_jacobian,
     contact_theta,
     contact_tip_pose,
-    contact_tip_twist,
     freeze,
 )
-from bellowkin.kinematics import jacobian, pose_at, shape, tip_pose, wrap_angle
+from bellowkin.kinematics import (jacobian, ramp_kinematics, shape, tip_pose,
+                                  wrap_angle)
 from bellowkin.modal import ModalModel, theta
 from bellowkin.quadrature import cumulative_stations
 from tests.conftest import make_random_model
+from tests.kinematics_reference import pose_at
+
+
+def contact_jacobian(model, contact, q):
+    """Unit-rate (vx, vz, omega) of one contacted kernel sample."""
+    k = ramp_kinematics(model, [q], contact)
+    return np.array([k.vx[0], k.vz[0], k.omega[0]])
 
 
 def affine_model(rng, L=500.0):
@@ -188,11 +194,11 @@ def test_contact_jacobian_norm_non_increasing_in_s_c(reference_model):
 
 def test_contact_tip_twist_scales(reference_model):
     c = freeze(reference_model, 5.0, 100.0)
-    t1 = contact_tip_twist(reference_model, c, 12.0, 0.05)
-    t2 = contact_tip_twist(reference_model, c, 12.0, 0.10)
-    assert t2.vx == pytest.approx(2 * t1.vx, rel=1e-12)
-    assert t2.vz == pytest.approx(2 * t1.vz, rel=1e-12)
-    assert t2.omega == pytest.approx(2 * t1.omega, rel=1e-12)
+    t1 = ramp_kinematics(reference_model, [12.0], c, qdot=0.05)
+    t2 = ramp_kinematics(reference_model, [12.0], c, qdot=0.10)
+    assert t2.vx[0] == pytest.approx(2 * t1.vx[0], rel=1e-12)
+    assert t2.vz[0] == pytest.approx(2 * t1.vz[0], rel=1e-12)
+    assert t2.omega[0] == pytest.approx(2 * t1.omega[0], rel=1e-12)
 
 
 def test_contact_state_json_round_trip(reference_model):

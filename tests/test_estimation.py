@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bellowkin.centrode import CentrodeTrace, centrode_from_stream, fixed_centrode
-from bellowkin.contact import contact_tip_pose, contact_tip_twist, freeze
+from bellowkin.centrode import CentrodeTrace, centrode_from_stream
+from bellowkin.contact import freeze
 from bellowkin.estimation import (
     EstimationProblem,
-    centrode_gradient_analytic,
     centrode_objective,
     estimate_contact,
     grid_oracle,
@@ -13,11 +12,20 @@ from bellowkin.estimation import (
     speed_weights,
 )
 from bellowkin.pipeline import PressureRamp, simulate_contact
+from bellowkin.ramp import hypothesis_centrode_gradient
 from tests.conftest import make_random_model
 from tests.finite_difference import fd_centrode_gradient
+from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
+                                        fixed_centrode)
 
 RAMP = PressureRamp(5.0, 20.0, 0.05)
 TRUTH = 100.0
+
+
+def centrode_gradient_analytic(model, s_c, q):
+    """The exact d(centrode)/d(s_c) as (m, 2) rows; NaN where invalid."""
+    g = hypothesis_centrode_gradient(model, s_c, np.asarray(q, dtype=float))
+    return np.column_stack((g.dcx, g.dcz))
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from bellowkin import modal, pipeline, ramp
-from bellowkin.centrode import fixed_centrode
-from bellowkin.contact import contact_tip_pose, contact_tip_twist, freeze
-from bellowkin.kinematics import PlanarPose, tip_pose, tip_twist, wrap_angle
+from bellowkin.centrode import instant_centers
+from bellowkin.contact import freeze
+from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
+                                  wrap_angles)
 from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp
-from bellowkin.ramp import ramp_centrode, ramp_kinematics, wrap_angles
 from tests.conftest import make_random_model
+from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
+                                        fixed_centrode, tip_pose, tip_twist)
 
 TOL_LU = 1e-12
 QDOT = 0.05
@@ -38,9 +40,14 @@ def per_sample(model, q, contact):
     return out
 
 
+def kernel_centrode(model, q, contact):
+    kin = ramp_kinematics(model, q, contact, qdot=QDOT)
+    return instant_centers(kin.x, kin.z, kin.vx, kin.vz, kin.omega)
+
+
 def assert_matches(model, q, contact):
     kin = ramp_kinematics(model, q, contact, qdot=QDOT)
-    trace = ramp_centrode(model, q, contact, qdot=QDOT)
+    trace = kernel_centrode(model, q, contact)
     ref = per_sample(model, q, contact)
     assert len(kin.x) == len(trace.valid) == len(q)
     for k, (pose, twist, c) in enumerate(ref):
@@ -69,6 +76,38 @@ def test_contact_ramp_matches_per_sample(reference_model, n):
     assert_matches(reference_model, np.linspace(5.0, 20.0, n), contact)
 
 
+def arc_end(x0, z0, phi0, kappa, ell):
+    """End pose of a circular arc of length ell and curvature kappa that
+    starts at (x0, z0) with tangent angle phi0; kappa = 0 is the segment."""
+    half = 0.5 * kappa * ell
+    chord = ell * np.sinc(half / math.pi)  # 2 sin(half) / kappa
+    mid = phi0 + half
+    return x0 + chord * math.cos(mid), z0 + chord * math.sin(mid), phi0 + kappa * ell
+
+
+@pytest.mark.parametrize("k0", [0.0, 2.4e-4, -3.1e-4])
+def test_contacted_kernel_matches_constant_curvature_arcs(k0):
+    # theta = k0 s q: a pin at s_c from q_c leaves an arc of curvature
+    # k0 q_c up to s_c, then an arc of curvature k0 q over L - s_c that
+    # starts at the frozen tangent k0 q_c s_c; q_c = 0 and q = 0 give
+    # straight arcs
+    L = 500.0
+    A_raw = np.zeros((2, 2))
+    A_raw[1, 1] = k0
+    m = ModalModel.from_raw(A_raw, L=L)
+    for s_c in (37.5, 150.0, 260.0, 480.0):
+        for q_c in (0.0, 5.0, 12.0):
+            q = q_c + np.array([0.0, 0.5, 3.0, 8.0])
+            kin = ramp_kinematics(m, q, freeze(m, q_c, s_c))
+            x0, z0, phi0 = arc_end(0.0, 0.0, 0.0, k0 * q_c, s_c)
+            for k, qk in enumerate(q):
+                x, z, th = arc_end(x0, z0, phi0, k0 * qk, L - s_c)
+                scale = max(1.0, abs(x), abs(z))
+                assert abs(kin.x[k] - x) / scale <= 1e-9
+                assert abs(kin.z[k] - z) / scale <= 1e-9
+                assert abs(wrap_angle(kin.theta[k] - th)) <= 1e-9 * max(1.0, abs(th))
+
+
 def test_tip_angle_wrapped_as_planar_pose():
     # tip angles beyond pi: the kernel wraps them as PlanarPose does
     model = make_random_model(np.random.default_rng(11), v=3, w=3,
@@ -94,7 +133,7 @@ def test_invalid_samples_match_per_sample():
     model = omega_zero_model()
     q = np.array([9.0, 9.5, 10.0, 10.5, 11.0])
     for contact in (None, freeze(model, 9.0, 150.0)):
-        trace = ramp_centrode(model, q, contact, qdot=QDOT)
+        trace = kernel_centrode(model, q, contact)
         assert list(trace.valid) == [True, True, False, True, True]
         assert_matches(model, q, contact)
 
@@ -140,7 +179,7 @@ def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
     # regression guard: the free centrode is shared by every location, and
     # each location adds a fixed number of field evaluations
     grid_calls, free_calls = [], []
-    theta_grid, kernel = modal.theta_grid, ramp.ramp_kinematics
+    theta_grid, kernel = modal.theta_grid, pipeline.ramp_kinematics
 
     def counting_grid(*args, **kwargs):
         grid_calls.append(1)
@@ -152,7 +191,8 @@ def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
         return kernel(model, q, contact, *args, **kwargs)
 
     monkeypatch.setattr(modal, "theta_grid", counting_grid)
-    monkeypatch.setattr(ramp, "ramp_kinematics", counting_kernel)
+    # the free kernel call is looked up in pipeline (model_centrode)
+    monkeypatch.setattr(pipeline, "ramp_kinematics", counting_kernel)
     r = PressureRamp(5.0, 20.0, 0.05)
     counts = []
     for n in (1, 5, 9):
