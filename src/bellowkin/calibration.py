@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modal import DEFAULT_UNIT_SCALE, ModalModel, eta, psi, theta
+from .modal import DEFAULT_UNIT_SCALE, ModalModel, _eta_cols, _psi_rows, theta
 from .quadrature import cumulative_stations
 
 BASE_ANGLE_TOL = 0.01  # rad; calibrated base tangent beyond this gets flagged
@@ -63,13 +63,13 @@ def tangents_from_points(points):
 
 def build_design_matrices(s_samples, q_samples, v: int, w: int):
     """Vandermonde factors: Omega rows are psi(s_i), Gamma columns are eta(q_j)."""
+    if v < 1 or w < 1:
+        raise ValueError("basis orders v, w must be >= 1")
     s_samples = np.asarray(s_samples, dtype=float)
     q_samples = np.asarray(q_samples, dtype=float)
     if s_samples.size == 0 or q_samples.size == 0:
         raise ValueError("samples must be nonempty")
-    omega = np.vstack([psi(s, v) for s in s_samples])
-    gamma = np.column_stack([eta(q, w) for q in q_samples])
-    return omega, gamma
+    return _psi_rows(s_samples, v), _eta_cols(q_samples, w)
 
 
 @dataclass
@@ -130,7 +130,10 @@ class CalibrationDataset:
 
 
 def load_calibration_csv(path) -> CalibrationDataset:
-    """Read a `pressure_psi,point_index,x,z` CSV into a dataset."""
+    """Read a `pressure_psi,point_index,x,z` CSV into a dataset.
+
+    A malformed or non-finite row raises ValueError naming its line number.
+    """
     groups = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -150,6 +153,9 @@ def load_calibration_csv(path) -> CalibrationDataset:
                 z = float(row[3])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"calibration CSV row {lineno}: {exc}") from None
+            if not np.isfinite([q, x, z]).all():
+                raise ValueError(f"calibration CSV row {lineno}: pressure and "
+                                 "coordinates must be finite")
             groups.setdefault(q, []).append((idx, x, z))
     if not groups:
         raise ValueError("calibration CSV has no data rows")

@@ -138,12 +138,6 @@ def fcd_detect(c_sensed: CentrodeTrace, c_model: CentrodeTrace, xi: float,
                            max_deviation=max_dev)
 
 
-def isa_difference(c_contact: CentrodeTrace, c_free: CentrodeTrace) -> np.ndarray:
-    """Per-sample center distance between two traces (NaN where invalid);
-    the summary index is the max over the ramp."""
-    return _aligned_deviations(c_contact, c_free)
-
-
 def default_threshold(c_sensed_free: CentrodeTrace, c_model_free: CentrodeTrace,
                       factor: float = DEFAULT_XI_FACTOR,
                       percentile: float = DEFAULT_XI_PERCENTILE) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace
-from .kinematics import DEFAULT_PANELS
 from .ramp import _pinned_ramp, hypothesis_centrode, hypothesis_centrode_gradient
 
 LM_LAMBDA0 = 1e-3
@@ -82,8 +81,8 @@ class EstimationProblem:
             self.W = Wa
 
 
-def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
-                       n_panels: int = DEFAULT_PANELS) -> CentrodeTrace:
+def predicted_centrode(model: modal.ModalModel, s_c_hyp: float,
+                       q_traj) -> CentrodeTrace:
     """Model-side centrode trace under a contact hypothesis.
 
     Freezes the proximal shape at (q_traj[0], s_c_hyp) and maps contact tip
@@ -93,12 +92,11 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float, q_traj,
     scale-invariant).  Evaluation batches the whole ramp through
     ramp.hypothesis_centrode.
     """
-    return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj),
-                               n_panels=n_panels)
+    return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj))
 
 
 def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
-              sensed: CentrodeTrace, n_panels: int):
+              sensed: CentrodeTrace):
     """Stacked residual sensed - predicted at s_c, its derivative in s_c,
     and the mask of samples valid on both sides.
 
@@ -106,7 +104,7 @@ def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
     """
     if len(sensed.valid) != len(q):
         raise ValueError("traces differ in length")
-    pred = hypothesis_centrode_gradient(model, s_c, q, n_panels=n_panels)
+    pred = hypothesis_centrode_gradient(model, s_c, q)
     mask = sensed.valid & pred.valid
     if not np.any(mask):
         raise ValueError("no overlapping valid centrode samples")
@@ -130,17 +128,16 @@ def _apply_weight(r: np.ndarray, W, mask: np.ndarray) -> np.ndarray:
 
 
 def centrode_objective(model: modal.ModalModel, s_c: float, q_traj, sensed,
-                       W=None, n_panels: int = DEFAULT_PANELS) -> float:
+                       W=None) -> float:
     """Half the weighted squared centrode gap at hypothesis s_c."""
     r, _, mask = _residual(model, s_c, _ramp_values(q_traj),
-                           _sensed_arrays(sensed), n_panels)
+                           _sensed_arrays(sensed))
     return 0.5 * float(r @ _apply_weight(r, W, mask))
 
 
-def _objective_state(problem: EstimationProblem, s_c: float, n_panels: int):
+def _objective_state(problem: EstimationProblem, s_c: float):
     """Objective, scalar gradient, and Gauss-Newton curvature at s_c."""
-    r, J, mask = _residual(problem.model, s_c, problem.q_traj, problem.sensed,
-                           n_panels)
+    r, J, mask = _residual(problem.model, s_c, problem.q_traj, problem.sensed)
     Wr = _apply_weight(r, problem.W, mask)
     obj = 0.5 * float(r @ Wr)
     g = float(J @ Wr)
@@ -152,8 +149,7 @@ def estimate_contact(problem: EstimationProblem,
                      max_iter: int = LM_MAX_ITER,
                      lm_lambda0: float = LM_LAMBDA0,
                      step_tol: float = LM_STEP_TOL,
-                     obj_rel_tol: float = LM_OBJ_REL_TOL,
-                     n_panels: int = DEFAULT_PANELS):
+                     obj_rel_tol: float = LM_OBJ_REL_TOL):
     """Levenberg-Marquardt over the scalar contact location.
 
     Rejected steps raise the damping tenfold, accepted ones lower it;
@@ -164,7 +160,7 @@ def estimate_contact(problem: EstimationProblem,
     """
     lo, hi = problem.bounds
     s_c = float(problem.s0)
-    obj, g, H = _objective_state(problem, s_c, n_panels)
+    obj, g, H = _objective_state(problem, s_c)
     lam = lm_lambda0
     trace = [(0, s_c, obj)]
     converged = False
@@ -179,7 +175,7 @@ def estimate_contact(problem: EstimationProblem,
         cand = float(np.clip(s_c - g / denom, lo, hi))
         step = cand - s_c
         try:
-            cand_obj, cand_g, cand_H = _objective_state(problem, cand, n_panels)
+            cand_obj, cand_g, cand_H = _objective_state(problem, cand)
         except ValueError:
             lam *= 10.0
             trace.append((it, s_c, obj))
@@ -202,8 +198,7 @@ def estimate_contact(problem: EstimationProblem,
     end_tip_err = float("nan")
     if problem.sensed_end_pose is not None:
         # the pin at s_c from q_traj[0] on, read at the last pressure
-        _, _, tip = _pinned_ramp(problem.model, s_c, problem.q_traj[[0, -1]],
-                                 n_panels)
+        _, _, tip = _pinned_ramp(problem.model, s_c, problem.q_traj[[0, -1]])
         ex, ez = problem.sensed_end_pose
         end_tip_err = float(np.hypot(tip.x[-1] - ex, tip.z[-1] - ez))
     report = {
@@ -218,7 +213,7 @@ def estimate_contact(problem: EstimationProblem,
 
 
 def grid_oracle(model: modal.ModalModel, sensed, q_traj, grid,
-                W=None, n_panels: int = DEFAULT_PANELS) -> float:
+                W=None) -> float:
     """Brute-force argmin of the objective over a grid of s_c values.
 
     Ties break toward the smaller s_c (grid is scanned in ascending order).
@@ -229,8 +224,7 @@ def grid_oracle(model: modal.ModalModel, sensed, q_traj, grid,
     sensed = _sensed_arrays(sensed)
     best_s, best_obj = None, np.inf
     for s_c in grid:
-        obj = centrode_objective(model, float(s_c), q_traj, sensed,
-                                 W=W, n_panels=n_panels)
+        obj = centrode_objective(model, float(s_c), q_traj, sensed, W=W)
         if obj < best_obj:
             best_s, best_obj = float(s_c), obj
     return best_s

@@ -49,13 +49,6 @@ def _lines(path):
     return lines
 
 
-def read_csv(path):
-    """Rows of a headered CSV as (header, list of string tuples)."""
-    lines = _lines(path)
-    header = lines[0].split(",")
-    return header, [tuple(ln.split(",")) for ln in lines[1:]]
-
-
 def read_table(path, header, what: str) -> np.ndarray:
     """Body of a numeric CSV with the given header as a (rows, columns)
     float array.

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modal
-from .quadrature import cumulative_stations, panel_nodes
+from .quadrature import panel_nodes
 
 DEFAULT_PANELS = 20
 _Q_TOL = 1e-12
@@ -60,41 +60,10 @@ class PlanarPose:
         return np.array([self.x, self.z])
 
 
-def cc_pose(kappa: float, s: float) -> PlanarPose:
-    """Closed-form pose of a constant-curvature arc of length s.
-
-    Expressed in the frame whose straight configuration lies along +z (the
-    classical arc transform); kept as an independent oracle for the quadrature
-    kinematics, whose straight configuration lies along +x.  The kappa -> 0
-    singularity of the closed form is removed by a series limit.
-    """
-    if s < 0:
-        raise ValueError("arc length must be non-negative")
-    ks = kappa * s
-    if abs(ks) < 1e-8:
-        return PlanarPose(x=0.5 * kappa * s * s, z=s, theta=ks)
-    return PlanarPose(x=(1.0 - math.cos(ks)) / kappa, z=math.sin(ks) / kappa, theta=ks)
-
-
 def _warn_extrapolation(model, q):
     if not modal.in_calibrated_range(model, q):
         warnings.warn(f"pressure {q} outside calibrated range {model.q_range}; extrapolating",
                       stacklevel=3)
-
-
-def shape(model: modal.ModalModel, q: float, n: int) -> list:
-    """Backbone poses at n equally spaced arc stations under pressure q.
-
-    Positions integrate (cos theta, sin theta) with one 5-point panel per
-    inter-station interval; pose k carries theta(s_k, q).
-    """
-    if n < 2:
-        raise ValueError("need at least 2 stations")
-    _warn_extrapolation(model, q)
-    stations = np.linspace(0.0, model.L, n)
-    pos = cumulative_stations(lambda s: modal.theta(model, s, q), stations)
-    return [PlanarPose(x=pos[k, 0], z=pos[k, 1], theta=modal.theta(model, stations[k], q))
-            for k in range(n)]
 
 
 def _check_q(contact, q: float):
@@ -115,7 +84,7 @@ class RampKinematics(NamedTuple):
 
 
 def ramp_kinematics(model: modal.ModalModel, q, contact=None,
-                    qdot=1.0, n_panels: int = DEFAULT_PANELS) -> RampKinematics:
+                    qdot=1.0) -> RampKinematics:
     """Tip poses and twists at every pressure of q, twists at rate qdot.
 
     The field's values on the quadrature nodes for every sample are one
@@ -124,10 +93,10 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
     so they are the exact derivative of the discrete tip pose.
 
     contact=None is the free backbone over [0, L].  A contact.ContactState
-    (of which only s_c, q_c and base_pose_c are read) gives the
-    contacted backbone: the frozen base pose plus the distal field over
-    [0, L - s_c], re-based to start at the frozen tangent (contact_theta),
-    so every q must be at or above the onset pressure.
+    gives the contacted backbone: the frozen base pose plus the distal
+    field theta(u, q) - theta(0, q) + theta(s_c, q_c) over u in
+    [0, L - s_c], which starts at the frozen tangent, so every q must be at
+    or above the onset pressure.
     """
     q = np.asarray(q, dtype=float)
     if contact is None:
@@ -137,7 +106,7 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
             _check_q(contact, float(q.min()))
         ell = model.L - contact.s_c
         x0, z0 = contact.base_pose_c.x, contact.base_pose_c.z
-    nodes, wts = panel_nodes(0.0, ell, n_panels)
+    nodes, wts = panel_nodes(0.0, ell, DEFAULT_PANELS)
     s = np.concatenate(([0.0, ell], nodes))
     # (nodes x samples) arrays are updated in place: a long ramp holds
     # three of them at a time instead of eight
@@ -158,17 +127,17 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
     return RampKinematics(x=x, z=z, theta=theta, vx=vx, vz=vz, omega=omega)
 
 
-def tip_pose(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+def tip_pose(model: modal.ModalModel, q: float) -> PlanarPose:
     """Tip pose at pressure q: one sample of ramp_kinematics."""
-    k = ramp_kinematics(model, [q], n_panels=n_panels)
+    k = ramp_kinematics(model, [q])
     return PlanarPose(x=float(k.x[0]), z=float(k.z[0]), theta=float(k.theta[0]))
 
 
-def jacobian(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> np.ndarray:
+def jacobian(model: modal.ModalModel, q: float) -> np.ndarray:
     """Actuation Jacobian (dx/dq, dz/dq, dtheta_L/dq) at pressure q: the
     unit-rate twist of one sample of ramp_kinematics."""
     _warn_extrapolation(model, q)
-    k = ramp_kinematics(model, [q], n_panels=n_panels)
+    k = ramp_kinematics(model, [q])
     return np.array([k.vx[0], k.vz[0], k.omega[0]])
 
 
@@ -185,8 +154,7 @@ class RRResult:
 
 
 def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5,
-                   tol: float = 1e-3, max_iter: int = 200,
-                   n_panels: int = DEFAULT_PANELS) -> RRResult:
+                   tol: float = 1e-3, max_iter: int = 200) -> RRResult:
     """Position-only inverse kinematics by damped resolved rates.
 
     Steps q by the damped pseudo-inverse of the 2x1 position Jacobian times
@@ -206,7 +174,7 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     converged = stalled = False
     for i in range(max_iter + 1):
         # one kernel sample gives the tip position and its Jacobian
-        k = ramp_kinematics(model, [q], n_panels=n_panels)
+        k = ramp_kinematics(model, [q])
         x, z = float(k.x[0]), float(k.z[0])
         e = x_des - np.array([x, z])
         err = float(np.hypot(e[0], e[1]))

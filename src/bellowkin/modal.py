@@ -1,14 +1,16 @@
 """Polynomial modal bases and the calibrated tangent-angle field.
 
 The backbone tangent angle is modeled as theta(s, q) = psi(s)^T A eta(q),
-with monomial bases psi in arc length and eta in pressure.  Coefficients are
-stored against the normalized arc coordinate s/L, which keeps the arc-length
-Vandermonde well conditioned when L is hundreds of length units; evaluation
-accepts unnormalized arc length.
+with monomial bases psi = (1, s, ..., s^(v-1)) in arc length and
+eta = (1, q, ..., q^(w-1)) in pressure.  Coefficients are stored against the
+normalized arc coordinate s/L, which keeps the arc-length Vandermonde well
+conditioned when L is hundreds of length units; evaluation accepts
+unnormalized arc length.  Every evaluation is a grid of arc rows times A
+times pressure columns; the one-pressure reads take its single column.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,31 +18,6 @@ import numpy as np
 DEFAULT_UNIT_SCALE = 0.2959
 
 _S_TOL = 1e-9  # relative slack on the [0, L] arc-length precondition
-
-
-def psi(s, v: int) -> np.ndarray:
-    """Arc-length monomial basis row [1, s, s^2, ..., s^(v-1)]."""
-    if v < 1:
-        raise ValueError("arc-length basis order v must be >= 1")
-    return np.power(float(s), np.arange(v))
-
-
-def eta(q, w: int) -> np.ndarray:
-    """Pressure monomial basis row [1, q, q^2, ..., q^(w-1)]."""
-    if w < 1:
-        raise ValueError("pressure basis order w must be >= 1")
-    return np.power(float(q), np.arange(w))
-
-
-def deta_dq(q, w: int) -> np.ndarray:
-    """Elementwise pressure derivative of eta: [0, 1, 2q, ..., (w-1)q^(w-2)]."""
-    if w < 1:
-        raise ValueError("pressure basis order w must be >= 1")
-    out = np.zeros(w)
-    if w > 1:
-        k = np.arange(1, w)
-        out[1:] = k * np.power(float(q), k - 1)
-    return out
 
 
 def _psi_rows(s_hat: np.ndarray, v: int) -> np.ndarray:
@@ -131,35 +108,9 @@ class ModalModel:
         return cls(A=A, L=L, unit_scale=float(doc["unit_scale"]), q_range=q_range)
 
 
-def theta(model: ModalModel, s, q) -> float:
-    """Tangent angle psi(s)^T A eta(q), radians.  s may be an array."""
-    s = model._check_s(s)
-    vals = _psi_rows(s / model.L, model.v) @ model.A @ eta(q, model.w)
-    return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
-
-
-def dtheta_dq(model: ModalModel, s, q) -> float:
-    """Pressure sensitivity psi(s)^T A deta_dq(q).  s may be an array."""
-    s = model._check_s(s)
-    vals = _psi_rows(s / model.L, model.v) @ model.A @ deta_dq(q, model.w)
-    return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
-
-
-def dtheta_ds(model: ModalModel, s, q) -> float:
-    """Arc-length derivative of the tangent field (the curvature)."""
-    s = model._check_s(s)
-    vals = _dpsi_rows(s / model.L, model.v) @ model.A @ eta(q, model.w) / model.L
-    return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
-
-
-def theta_grid(model: ModalModel, s, q) -> np.ndarray:
-    """Tangent angles on the outer grid of arc samples x pressure samples.
-
-    Returns shape (len(s), len(q)); used by the batched simulation paths.
-    """
-    s = model._check_s(np.atleast_1d(s))
-    Q = np.power(np.asarray(q, dtype=float)[None, :], np.arange(model.w)[:, None])
-    return _psi_rows(s / model.L, model.v) @ model.A @ Q
+def _eta_cols(q: np.ndarray, w: int) -> np.ndarray:
+    """Columns of eta at pressure samples; shape (w, len(q))."""
+    return np.power(q[None, :], np.arange(w)[:, None])
 
 
 def _deta_dq_cols(q: np.ndarray, w: int) -> np.ndarray:
@@ -171,18 +122,51 @@ def _deta_dq_cols(q: np.ndarray, w: int) -> np.ndarray:
     return D
 
 
+def _grid(model: ModalModel, s, q, s_rows, q_cols) -> np.ndarray:
+    """Arc rows at s times A times pressure columns at q; shape (len(s), len(q))."""
+    s = model._check_s(np.atleast_1d(s))
+    return (s_rows(s / model.L, model.v) @ model.A
+            @ q_cols(np.asarray(q, dtype=float), model.w))
+
+
+def theta_grid(model: ModalModel, s, q) -> np.ndarray:
+    """Tangent angles on the outer grid of arc samples x pressure samples.
+
+    Returns shape (len(s), len(q)); used by the batched simulation paths.
+    """
+    return _grid(model, s, q, _psi_rows, _eta_cols)
+
+
 def dtheta_dq_grid(model: ModalModel, s, q) -> np.ndarray:
     """Pressure sensitivities on the outer grid; shape (len(s), len(q))."""
-    s = model._check_s(np.atleast_1d(s))
-    D = _deta_dq_cols(np.asarray(q, dtype=float), model.w)
-    return _psi_rows(s / model.L, model.v) @ model.A @ D
+    return _grid(model, s, q, _psi_rows, _deta_dq_cols)
 
 
 def d2theta_dsdq_grid(model: ModalModel, s, q) -> np.ndarray:
     """Mixed arc/pressure derivatives on the outer grid; shape (len(s), len(q))."""
-    s = model._check_s(np.atleast_1d(s))
-    D = _deta_dq_cols(np.asarray(q, dtype=float), model.w)
-    return _dpsi_rows(s / model.L, model.v) @ model.A @ D / model.L
+    return _grid(model, s, q, _dpsi_rows, _deta_dq_cols) / model.L
+
+
+def _column(grid: np.ndarray, s):
+    """The one pressure column of a grid, a float when s is a scalar."""
+    col = grid[:, 0]
+    return float(col[0]) if np.ndim(s) == 0 else col
+
+
+def theta(model: ModalModel, s, q):
+    """Tangent angle psi(s)^T A eta(q), radians, at one pressure.  s may be
+    an array."""
+    return _column(theta_grid(model, s, [q]), s)
+
+
+def dtheta_dq(model: ModalModel, s, q):
+    """Pressure sensitivity psi(s)^T A deta_dq(q) at one pressure."""
+    return _column(dtheta_dq_grid(model, s, [q]), s)
+
+
+def dtheta_ds(model: ModalModel, s, q):
+    """Arc-length derivative of the tangent field (the curvature)."""
+    return _column(_grid(model, s, [q], _dpsi_rows, _eta_cols) / model.L, s)
 
 
 def in_calibrated_range(model: ModalModel, q) -> bool:

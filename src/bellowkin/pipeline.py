@@ -13,14 +13,18 @@ import numpy as np
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
 from .contact import freeze
-from .kinematics import (DEFAULT_PANELS, RampKinematics, ramp_kinematics,
-                         wrap_angles)
+from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 from .ramp import hypothesis_centrode
+
+# the ramp kernel holds three (nodes x samples) float arrays at a time,
+# 102 nodes of 8 bytes per sample each: about 250 MB at the cap
+MAX_RAMP_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
 class PressureRamp:
-    """Uniform pressure schedule q_start..q_end inclusive, fixed step."""
+    """Uniform pressure schedule q_start..q_end inclusive, fixed step, of at
+    most MAX_RAMP_SAMPLES samples."""
 
     q_start: float
     q_end: float
@@ -31,8 +35,15 @@ class PressureRamp:
             raise ValueError("ramp start, end and step must be finite")
         if self.q_end < self.q_start:
             raise ValueError("ramp must be non-decreasing")
-        if self.q_end > self.q_start and self.step <= 0:
+        if self.q_end == self.q_start:
+            return
+        if self.step <= 0:
             raise ValueError("step must be positive")
+        steps = (self.q_end - self.q_start) / self.step
+        # compared as a float first: round() of an overflowed count raises
+        if not steps < MAX_RAMP_SAMPLES or round(steps) >= MAX_RAMP_SAMPLES:
+            raise ValueError(f"ramp of {steps + 1:.3g} samples exceeds the "
+                             f"{MAX_RAMP_SAMPLES} sample cap")
 
     @property
     def values(self) -> np.ndarray:
@@ -62,16 +73,14 @@ def _pressures(ramp):
     return q, (float(q[1] - q[0]) if q.size > 1 else 1.0)
 
 
-def free_kinematics(model: modal.ModalModel, ramp,
-                    n_panels: int = DEFAULT_PANELS) -> RampKinematics:
+def free_kinematics(model: modal.ModalModel, ramp) -> RampKinematics:
     """Free tip poses and twists along the ramp (a PressureRamp or an array
     of pressures), twists at the ramp's pressure rate per sample step."""
     q, qdot = _pressures(ramp)
-    return ramp_kinematics(model, q, qdot=qdot, n_panels=n_panels)
+    return ramp_kinematics(model, q, qdot=qdot)
 
 
 def simulate_free(model: modal.ModalModel, ramp,
-                  n_panels: int = DEFAULT_PANELS,
                   kinematics: RampKinematics = None) -> PoseStream:
     """Tip-pose stream of an unobstructed pressurization.
 
@@ -83,13 +92,12 @@ def simulate_free(model: modal.ModalModel, ramp,
     q, _ = _pressures(ramp)
     k = kinematics
     if k is None:
-        k = free_kinematics(model, q, n_panels)
+        k = free_kinematics(model, q)
     return PoseStream(t=np.arange(q.size), q=q, x=k.x, z=k.z, theta=k.theta)
 
 
 def simulate_contact(model: modal.ModalModel, ramp,
-                     s_c: float, q_c: float,
-                     n_panels: int = DEFAULT_PANELS):
+                     s_c: float, q_c: float):
     """Tip-pose stream with a pin at s_c from pressure q_c onward.
 
     Samples below q_c follow the free model; from onset on, the contacted
@@ -101,9 +109,8 @@ def simulate_contact(model: modal.ModalModel, ramp,
     q, _ = _pressures(ramp)
     free = q < q_c
     cols = np.empty((len(RampKinematics._fields), q.size))
-    cols[:, free] = ramp_kinematics(model, q[free], n_panels=n_panels)
-    cols[:, ~free] = ramp_kinematics(model, q[~free], contact,
-                                     n_panels=n_panels)
+    cols[:, free] = ramp_kinematics(model, q[free])
+    cols[:, ~free] = ramp_kinematics(model, q[~free], contact)
     x, z, theta = cols[:3]
     return PoseStream(t=np.arange(q.size), q=q, x=x, z=z, theta=theta), contact
 
@@ -130,46 +137,44 @@ def add_noise(stream: PoseStream, sigma_pos: float, sigma_ang: float,
 
 
 def model_centrode(model: modal.ModalModel, ramp,
-                   n_panels: int = DEFAULT_PANELS,
                    kinematics: RampKinematics = None) -> CentrodeTrace:
     """Free-motion centrode trace from analytic twists along the ramp (a
     PressureRamp or an array of pressures); kinematics is its
     free_kinematics when already at hand."""
     k = kinematics
     if k is None:
-        k = free_kinematics(model, ramp, n_panels)
+        k = free_kinematics(model, ramp)
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
-def _isa_index(model, q, free: CentrodeTrace, s_c: float, n_panels) -> float:
+def _isa_index(model, q, free: CentrodeTrace, s_c: float) -> float:
     """Max distance between the contacted and the given free centrode."""
     if s_c == 0.0:
         return 0.0
-    pinned = hypothesis_centrode(model, s_c, q, n_panels=n_panels)
+    pinned = hypothesis_centrode(model, s_c, q)
     both = free.valid & pinned.valid
     dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
     return float(np.max(dist[both], initial=0.0))
 
 
-def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp, s_c: float,
-                    n_panels: int = DEFAULT_PANELS) -> float:
+def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp,
+                    s_c: float) -> float:
     """Max distance between contacted and free centrodes over the ramp.
 
     s_c = 0 pins the clamped base itself: the backbone is unchanged and the
     two centrodes coincide, so the index is exactly zero.
     """
     q, _ = _pressures(ramp)
-    free = model_centrode(model, ramp, n_panels)
-    return _isa_index(model, q, free, s_c, n_panels)
+    free = model_centrode(model, ramp)
+    return _isa_index(model, q, free, s_c)
 
 
-def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values,
-          n_panels: int = DEFAULT_PANELS) -> list:
+def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
     """ISA-difference index per contact location, in the given order.
 
     The free centrode is computed once and shared by every location.
     """
     q, _ = _pressures(ramp)
-    free = model_centrode(model, ramp, n_panels)
+    free = model_centrode(model, ramp)
     s_values = [float(s_c) for s_c in s_values]
-    return [(s_c, _isa_index(model, q, free, s_c, n_panels)) for s_c in s_values]
+    return [(s_c, _isa_index(model, q, free, s_c)) for s_c in s_values]

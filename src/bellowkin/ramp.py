@@ -15,40 +15,27 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, instant_centers
-from .contact import station_pose
-from .kinematics import DEFAULT_PANELS, PlanarPose, ramp_kinematics
+from .contact import freeze
+from .kinematics import ramp_kinematics
 
 
-class _Pin(NamedTuple):
-    """The part of a ContactState that the contacted kernel reads."""
-
-    s_c: float
-    q_c: float
-    base_pose_c: PlanarPose
-
-
-def _pinned_ramp(model: modal.ModalModel, s_c: float, q, n_panels: int):
+def _pinned_ramp(model: modal.ModalModel, s_c: float, q):
     """Pin, pressure rate and kinematics of a pin at s_c that holds from
-    the first pressure q[0] on; the pin's base pose is freeze's, without
-    the station table freeze also records."""
-    if not (0.0 < s_c < model.L):
-        raise ValueError(f"s_c hypothesis outside (0, {model.L})")
+    the first pressure q[0] on; freeze rejects an s_c outside (0, L)."""
     q = np.asarray(q, dtype=float)
-    q_c, s_c = float(q[0]), float(s_c)
-    contact = _Pin(s_c, q_c, station_pose(model, q_c, s_c))
+    contact = freeze(model, float(q[0]), s_c)
     qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    return contact, qdot, ramp_kinematics(model, q, contact, qdot, n_panels)
+    return contact, qdot, ramp_kinematics(model, q, contact, qdot)
 
 
-def hypothesis_centrode(model: modal.ModalModel, s_c: float, q,
-                        n_panels: int = DEFAULT_PANELS) -> CentrodeTrace:
+def hypothesis_centrode(model: modal.ModalModel, s_c: float, q) -> CentrodeTrace:
     """Centrode under a contact at s_c that pins at the first pressure q[0].
 
     The twist rate is the first pressure step, matching the step-indexed
     differencing of sensed streams (the centrode itself does not depend on
     it; only the validity threshold on omega does).
     """
-    _, _, k = _pinned_ramp(model, s_c, q, n_panels)
+    _, _, k = _pinned_ramp(model, s_c, q)
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
@@ -64,8 +51,8 @@ class CentrodeGradient(NamedTuple):
     dcz: np.ndarray
 
 
-def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float, q,
-                                 n_panels: int = DEFAULT_PANELS) -> CentrodeGradient:
+def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float,
+                                 q) -> CentrodeGradient:
     """hypothesis_centrode, bit for bit, and its exact derivative in s_c.
 
     Moving the pin by ds_c moves the contact station P0 along the frozen
@@ -78,7 +65,7 @@ def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float, q,
     so the kernel's one field evaluation serves both.  P0 is the frozen
     base pose, whose derivative is taken as the exact t(th_off).
     """
-    contact, qdot, k = _pinned_ramp(model, s_c, q, n_panels)
+    contact, qdot, k = _pinned_ramp(model, s_c, q)
     c = instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
     s_c, q_c = contact.s_c, contact.q_c
     th_off = modal.theta(model, s_c, q_c)

@@ -3,7 +3,10 @@ and instant center at one pressure, each integrated on its own.
 
 The package itself integrates the tip pose and twist only in
 kinematics.ramp_kinematics; these scalar integrals, on the same node
-layout, are what test_ramp and test_estimation compare it against.
+layout, are what test_ramp and test_estimation compare it against.  Also
+kept here as oracles: the constant-curvature closed form (cc_pose), the
+piecewise tangent field of a contacted backbone (contact_theta), and the
+pin's base pose integrated over 65 equal stations (station_pose).
 """
 
 import math
@@ -16,7 +19,7 @@ from bellowkin.centrode import EPS_OMEGA
 from bellowkin.contact import ContactState
 from bellowkin.kinematics import (DEFAULT_PANELS, PlanarPose, _check_q,
                                   _warn_extrapolation)
-from bellowkin.quadrature import panel_nodes
+from bellowkin.quadrature import cumulative_stations, panel_nodes
 
 
 @dataclass
@@ -59,6 +62,53 @@ def fixed_centrode(pose: PlanarPose, twist: PlanarTwist,
     return CentrodePoint(x=float(cx), z=float(cz), valid=True, t_index=t_index)
 
 
+def cc_pose(kappa: float, s: float) -> PlanarPose:
+    """Closed-form pose of a constant-curvature arc of length s.
+
+    Expressed in the frame whose straight configuration lies along +z (the
+    classical arc transform); kept as an independent oracle for the quadrature
+    kinematics, whose straight configuration lies along +x.  The kappa -> 0
+    singularity of the closed form is removed by a series limit.
+    """
+    if s < 0:
+        raise ValueError("arc length must be non-negative")
+    ks = kappa * s
+    if abs(ks) < 1e-8:
+        return PlanarPose(x=0.5 * kappa * s * s, z=s, theta=ks)
+    return PlanarPose(x=(1.0 - math.cos(ks)) / kappa, z=math.sin(ks) / kappa, theta=ks)
+
+
+def station_pose(model: modal.ModalModel, q_c: float, s_c: float) -> PlanarPose:
+    """Pose of the station s_c at pressure q_c: theta(s, q_c) integrated
+    over 65 equal stations of [0, s_c], one 5-point panel per interval."""
+    stations = np.linspace(0.0, float(s_c), 65)
+    pos = cumulative_stations(lambda s: modal.theta(model, s, q_c), stations)
+    return PlanarPose(x=pos[-1, 0], z=pos[-1, 1],
+                      theta=modal.theta(model, float(s_c), q_c))
+
+
+def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
+    """Tangent angle of the contacted backbone at arc length s, pressure q.
+
+    Proximal of s_c: the frozen field theta(s, q_c).  Distal: the shorter
+    bellow's field shifted to start at the frozen tangent, which keeps the
+    angle continuous across s_c for every q >= q_c.
+    """
+    _check_q(contact, q)
+    s = model._check_s(s)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    out = np.empty_like(s)
+    prox = s <= contact.s_c
+    if np.any(prox):
+        out[prox] = modal.theta(model, s[prox], contact.q_c)
+    if np.any(~prox):
+        u = s[~prox] - contact.s_c
+        th_off = modal.theta(model, contact.s_c, contact.q_c)
+        out[~prox] = th_off + modal.theta(model, u, q) - modal.theta(model, 0.0, q)
+    return float(out[0]) if scalar else out
+
+
 def pose_at(model: modal.ModalModel, q: float, s: float,
             n_panels: int = DEFAULT_PANELS) -> PlanarPose:
     """Pose of the station at arc length s (quadrature from the base)."""
@@ -72,7 +122,7 @@ def pose_at(model: modal.ModalModel, q: float, s: float,
 
 
 def tip_pose(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> PlanarPose:
-    """Tip pose; same node layout as shape(model, q, n_panels + 1)."""
+    """Tip pose; same node layout as kinematics.ramp_kinematics."""
     return pose_at(model, q, model.L, n_panels=n_panels)
 
 

@@ -24,7 +24,6 @@ from bellowkin.cli import main as cli_main
 from bellowkin.estimation import EstimationProblem, estimate_contact, grid_oracle
 from bellowkin.kinematics import (
     PlanarPose,
-    cc_pose,
     jacobian,
     resolved_rates,
     tip_pose,
@@ -35,6 +34,7 @@ from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp, simulate_contact, sweep
 from bellowkin.synthetic import dataset_from_model
 from tests.conftest import DATA_CSV, make_random_model
+from tests.kinematics_reference import cc_pose
 
 RAMP = PressureRamp(5.0, 20.0, 0.05)
 

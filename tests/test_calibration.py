@@ -148,6 +148,12 @@ def test_csv_loader_errors(tmp_path):
     with pytest.raises(ValueError, match="row 3"):
         load_calibration_csv(bad_row)
 
+    for bad in ("nan,1,0,0", "0,1,inf,0", "0,1,0,-inf"):
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(f"pressure_psi,point_index,x,z\n0,0,0,0\n{bad}\n")
+        with pytest.raises(ValueError, match="row 3: .* must be finite"):
+            load_calibration_csv(non_finite)
+
 
 def test_inconsistent_point_counts_rejected():
     a = [(0, 0), (1, 0), (2, 0), (3, 0)]

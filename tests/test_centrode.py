@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from bellowkin.centrode import (
     CentrodeTrace,
     PoseStream,
+    _aligned_deviations,
     centrode_from_stream,
     default_threshold,
     fcd_detect,
     instant_centers,
-    isa_difference,
     read_centrode,
     read_pose_stream,
     write_centrode,
@@ -139,7 +139,7 @@ def test_stream_converges_to_model_centrode(reference_model):
         ramp = PressureRamp(5.0, 20.0, h)
         sensed = centrode_from_stream(simulate_free(reference_model, ramp))
         model_side = model_centrode(reference_model, ramp)
-        dev = isa_difference(sensed, model_side)
+        dev = _aligned_deviations(sensed, model_side)
         errs.append(float(np.nanmax(dev)))
     assert errs[-1] <= 0.5
     assert errs[0] / errs[1] >= 1.8
@@ -210,7 +210,7 @@ def test_fcd_rejects_degenerate_inputs():
 
 def test_isa_difference_zero_for_identical():
     a, b = mk_trace([0.0] * 5)
-    series = isa_difference(a, b)
+    series = _aligned_deviations(a, b)
     assert np.nanmax(series) == 0.0
 
 
@@ -219,7 +219,7 @@ def test_default_threshold_from_free_run(reference_model):
     sensed = centrode_from_stream(simulate_free(reference_model, ramp))
     modeled = model_centrode(reference_model, ramp)
     xi = default_threshold(sensed, modeled)
-    dev = isa_difference(sensed, modeled)
+    dev = _aligned_deviations(sensed, modeled)
     assert xi > 0
     assert xi >= np.nanpercentile(dev, 95.0)  # factor 3 sits above the floor
     assert xi <= 3.0 * np.nanmax(dev)

@@ -9,13 +9,19 @@ import pytest
 from bellowkin import centrode as ct
 from bellowkin import pipeline as pl
 from bellowkin.cli import main
-from bellowkin.io import read_csv
 from bellowkin.modal import ModalModel
 from tests.conftest import DATA_CSV
 
 
 def run(argv):
     return main(argv)
+
+
+def read_csv(path):
+    """Rows of a headered CSV as (header, list of string tuples)."""
+    with open(path) as f:
+        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    return lines[0].split(","), [tuple(ln.split(",")) for ln in lines[1:]]
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +155,23 @@ def test_calibrate_empty_csv_exit_1(tmp_path):
                 "--out-dir", str(tmp_path / "out")]) == 1
 
 
+def test_calibrate_non_finite_point_exit_1(tmp_path, capsys):
+    # one marker x of the shipped data set to nan: a row error, not a
+    # failed (rank) fit
+    lines = open(DATA_CSV).read().splitlines()
+    fields = lines[5].split(",")
+    fields[2] = "nan"
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--input", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("calibrate: calibration CSV row 6: pressure and coordinates "
+                   "must be finite\n")
+    assert not out.exists()
+
+
 def test_calibrate_underdetermined_exit_2(tmp_path):
     assert run(["calibrate", "--input", DATA_CSV, "--v", "6", "--w", "9",
                 "--out-dir", str(tmp_path / "out")]) == 2
@@ -188,6 +211,18 @@ def test_non_finite_ramp_exit_1(workdir, tmp_path, capsys, stage, ramp):
     err = capsys.readouterr().err
     assert err == f"{stage}: ramp start, end and step must be finite\n"
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["simulate", "sweep"])
+def test_ramp_over_sample_cap_exit_1(workdir, tmp_path, capsys, stage):
+    # 1e18 samples: refused when the ramp is parsed, before any allocation
+    out = tmp_path / "out"
+    argv = [stage, "--model", workdir["model"], "--ramp", "0:1e9:1e-9",
+            "--out-dir", str(out)]
+    assert run(argv + (["--s-values", "0,100"] if stage == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == f"{stage}: ramp of 1e+18 samples exceeds the 100000 sample cap\n"
     assert not out.exists()
 
 

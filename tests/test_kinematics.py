@@ -5,15 +5,15 @@ import pytest
 
 from bellowkin.kinematics import (
     PlanarPose,
-    cc_pose,
     jacobian,
     ramp_kinematics,
     resolved_rates,
-    shape,
     tip_pose,
     wrap_angle,
 )
-from bellowkin.modal import ModalModel
+from bellowkin.modal import ModalModel, theta
+from bellowkin.quadrature import cumulative_stations
+from tests.kinematics_reference import cc_pose
 
 
 def constant_curvature_model(kappa0: float, L: float) -> ModalModel:
@@ -63,15 +63,18 @@ def test_cc_pose_rejects_negative_arc():
         cc_pose(0.1, -1.0)
 
 
+def shape_stations(model, q, n):
+    """Positions at n equal arc stations: one 5-point panel per interval."""
+    return cumulative_stations(lambda s: theta(model, s, q),
+                               np.linspace(0.0, model.L, n))
+
+
 def test_straight_shape_stations():
     m = ModalModel(A=np.zeros((3, 3)), L=400.0)
-    poses = shape(m, 7.0, 5)
-    xs = [p.x for p in poses]
-    assert np.allclose(xs, [0, 100, 200, 300, 400], atol=1e-9)
-    assert np.allclose([p.z for p in poses], 0.0, atol=1e-9)
-    assert np.allclose([p.theta for p in poses], 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        shape(m, 7.0, 1)
+    pos = shape_stations(m, 7.0, 5)
+    assert np.allclose(pos[:, 0], [0, 100, 200, 300, 400], atol=1e-9)
+    assert np.allclose(pos[:, 1], 0.0, atol=1e-9)
+    assert np.allclose(theta(m, np.linspace(0.0, m.L, 5), 7.0), 0.0, atol=1e-12)
 
 
 def test_quadrature_tip_matches_closed_form():
@@ -158,7 +161,7 @@ def test_tip_twist_matches_ramp_differencing(reference_model):
 
 def test_arc_length_preserved(reference_model):
     def polyline_len(n):
-        pts = np.array([[p.x, p.z] for p in shape(reference_model, 21.0, n)])
+        pts = shape_stations(reference_model, 21.0, n)
         return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
     L = reference_model.L

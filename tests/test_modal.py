@@ -5,17 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellowkin.calibration import tangents_from_points
+from bellowkin.calibration import build_design_matrices, tangents_from_points
 from bellowkin.modal import (
     ModalModel,
-    deta_dq,
+    _deta_dq_cols,
+    _eta_cols,
+    _psi_rows,
     dtheta_dq,
-    eta,
     in_calibrated_range,
-    psi,
     theta,
     theta_grid,
 )
+
+
+def psi(s, v):
+    """The arc-length basis row at one s, from the Vandermonde row builder."""
+    return _psi_rows(np.array([s], dtype=float), v)[0]
+
+
+def eta(q, w):
+    """The pressure basis column at one q, from the column builder."""
+    return _eta_cols(np.array([q], dtype=float), w)[:, 0]
+
+
+def deta_dq(q, w):
+    return _deta_dq_cols(np.array([q], dtype=float), w)[:, 0]
 
 
 def test_psi_examples():
@@ -38,11 +52,11 @@ def test_deta_dq_examples():
 
 def test_order_zero_rejected():
     with pytest.raises(ValueError):
-        psi(1.0, 0)
+        build_design_matrices([1.0], [1.0], 0, 1)
     with pytest.raises(ValueError):
-        eta(1.0, 0)
+        build_design_matrices([1.0], [1.0], 1, 0)
     with pytest.raises(ValueError):
-        deta_dq(1.0, 0)
+        ModalModel(A=np.zeros((3, 0)), L=500.0)
 
 
 def test_zero_coefficients_give_zero_angle():

@@ -12,7 +12,8 @@ from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp
 from tests.conftest import make_random_model
 from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
-                                        fixed_centrode, tip_pose, tip_twist)
+                                        fixed_centrode, station_pose, tip_pose,
+                                        tip_twist)
 
 TOL_LU = 1e-12
 QDOT = 0.05
@@ -156,10 +157,34 @@ def test_gradient_kernel_centrode_is_hypothesis_centrode(reference_model, n):
     assert not grad.valid[n // 2]
 
 
+@pytest.mark.parametrize("q_c", [0.0, 5.0, 21.0, 30.0])
+def test_pin_base_pose_matches_65_station_reference(reference_model, q_c):
+    # the pin's base pose, on the kernel's node layout, against the
+    # 65-station integral it replaced; the model is calibrated on
+    # 0..21 Psi, so q_c = 30 extrapolates
+    for s_c in np.linspace(0.0, reference_model.L, 99)[1:-1]:
+        for contact in (freeze(reference_model, q_c, s_c),
+                        ramp._pinned_ramp(reference_model, s_c, [q_c])[0]):
+            got = contact.base_pose_c
+            ref = station_pose(reference_model, q_c, s_c)
+            assert abs(got.x - ref.x) <= 1e-11
+            assert abs(got.z - ref.z) <= 1e-11
+            assert abs(got.theta - ref.theta) <= 1e-12
+
+
 def test_contact_ramp_rejects_release(reference_model):
     contact = freeze(reference_model, 10.0, 100.0)
     with pytest.raises(ValueError, match="below contact onset"):
         ramp_kinematics(reference_model, [9.0, 10.0], contact)
+
+
+def test_ramp_sample_cap():
+    cap = pipeline.MAX_RAMP_SAMPLES
+    assert PressureRamp(0.0, cap - 1.0, 1.0).values.size == cap
+    for end, step in ((float(cap), 1.0), (1e9, 1e-9), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="sample cap"):
+            PressureRamp(0.0, end, step)
+    assert PressureRamp(5.0, 5.0, 0.0).values.size == 1
 
 
 def test_simulate_contact_splits_at_onset(reference_model):
