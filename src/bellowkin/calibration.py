@@ -7,12 +7,12 @@ least-squares problem built from the Kronecker product of the two basis
 Vandermonde factors.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import read_table
 from .modal import DEFAULT_UNIT_SCALE, ModalModel, _eta_cols, _psi_rows, theta
 from .quadrature import cumulative_stations
 
@@ -132,39 +132,28 @@ class CalibrationDataset:
 def load_calibration_csv(path) -> CalibrationDataset:
     """Read a `pressure_psi,point_index,x,z` CSV into a dataset.
 
-    A malformed or non-finite row raises ValueError naming its line number.
+    Rows are grouped by pressure and ordered by point index.  A malformed
+    row, a non-finite pressure or coordinate, or a point index that is not
+    an integer raises ValueError naming the row, numbered from 1 after the
+    header as io.read_table numbers them.
     """
-    groups = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty calibration CSV")
-        expected = ["pressure_psi", "point_index", "x", "z"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"calibration CSV header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                q = float(row[0])
-                idx = int(row[1])
-                x = float(row[2])
-                z = float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"calibration CSV row {lineno}: {exc}") from None
-            if not np.isfinite([q, x, z]).all():
-                raise ValueError(f"calibration CSV row {lineno}: pressure and "
-                                 "coordinates must be finite")
-            groups.setdefault(q, []).append((idx, x, z))
-    if not groups:
+    data = read_table(path, ["pressure_psi", "point_index", "x", "z"],
+                      "calibration CSV")
+    if not len(data):
         raise ValueError("calibration CSV has no data rows")
-    pressures = sorted(groups)
-    points = []
-    for q in pressures:
-        rows = sorted(groups[q])
-        points.append(np.array([[x, z] for _, x, z in rows]))
-    return CalibrationDataset.from_points(pressures, points)
+    q, idx, x, z = data.T
+    whole = np.isfinite(idx) & (idx == np.trunc(idx))
+    finite = np.isfinite(q) & np.isfinite(x) & np.isfinite(z)
+    bad = np.flatnonzero(~(whole & finite))
+    if bad.size:
+        k = bad[0]
+        what = ("pressure and coordinates must be finite" if whole[k]
+                else "point_index must be an integer")
+        raise ValueError(f"calibration CSV row {k + 1}: {what}")
+    data = data[np.lexsort((z, x, idx, q))]
+    pressures, starts = np.unique(data[:, 0], return_index=True)
+    return CalibrationDataset.from_points(pressures,
+                                          np.split(data[:, 2:], starts[1:]))
 
 
 @dataclass
@@ -219,7 +208,8 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
     """
     g, z = dataset.theta.shape
     if g * z < v * w:
-        raise ValueError(f"{g}x{z} samples cannot determine {v}x{w} coefficients")
+        raise RankDeficientError(f"{g}x{z} samples cannot determine "
+                                 f"{v}x{w} coefficients")
     L = dataset.L
     s_hat = dataset.s_samples / L
     omega, gamma = build_design_matrices(s_hat, dataset.pressures, v, w)

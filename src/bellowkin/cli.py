@@ -6,7 +6,8 @@ with a pin), detect contact from centrode deviation, estimate the contact
 location, and sweep contact locations for the ISA-difference index.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 rank-deficient fit,
-3 non-convergence (best iterate still written).
+3 non-convergence (best iterate still written).  main maps every failure
+to its exit code and one line on stderr.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import numpy as np
 from . import centrode as ct
 from . import estimation as est
 from . import pipeline as pl
-from .calibration import fit_modal, load_calibration_csv
+from .calibration import RankDeficientError, fit_modal, load_calibration_csv
 from .io import write_csv, write_json
 from .modal import DEFAULT_UNIT_SCALE, ModalModel
 
@@ -56,18 +57,9 @@ def _out(args, name: str) -> str:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        dataset = load_calibration_csv(args.input)
-    except (OSError, ValueError) as e:
-        print(f"calibrate: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model, report = fit_modal(dataset, v=args.v, w=args.w,
-                                  unit_scale=args.unit_scale)
-    except ValueError as e:
-        # RankDeficientError or an underdetermined sample count
-        print(f"calibrate: {e}", file=sys.stderr)
-        return EXIT_RANK
+    dataset = load_calibration_csv(args.input)
+    model, report = fit_modal(dataset, v=args.v, w=args.w,
+                              unit_scale=args.unit_scale)
     with open(_out(args, "model.json"), "w", newline="\n") as f:
         f.write(model.to_json() + "\n")
     with open(_out(args, "fit_report.json"), "w", newline="\n") as f:
@@ -78,20 +70,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        model = _load_model(args.model)
-        ramp = pl.PressureRamp.parse(args.ramp)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"simulate: {e}", file=sys.stderr)
-        return EXIT_IO
+    model = _load_model(args.model)
+    ramp = pl.PressureRamp.parse(args.ramp)
     contact_state = None
     if args.contact is not None:
-        try:
-            s_c, q_c = _parse_contact(args.contact)
-            stream, contact_state = pl.simulate_contact(model, ramp, s_c, q_c)
-        except ValueError as e:
-            print(f"simulate: {e}", file=sys.stderr)
-            return EXIT_IO
+        s_c, q_c = _parse_contact(args.contact)
+        stream, contact_state = pl.simulate_contact(model, ramp, s_c, q_c)
     else:
         stream = pl.simulate_free(model, ramp)
     if args.noise_pos > 0 or args.noise_ang > 0:
@@ -114,32 +98,28 @@ def _row_of_t(stream: ct.PoseStream, t: int, source: str) -> int:
 
 
 def cmd_detect(args) -> int:
-    try:
-        model = _load_model(args.model)
-        stream = ct.read_pose_stream(args.stream)
-        if stream.t.size < 3:
-            raise ValueError("stream too short to difference (need >= 3)")
-        sensed = ct.centrode_from_stream(stream)
-        # one kernel pass at the stream's own pressures gives the model
-        # centrode (which does not depend on the pressure rate, so a
-        # non-uniform schedule is exact) and the free reference poses
-        kin = pl.free_kinematics(model, stream.q)
-        model_trace = pl.model_centrode(model, stream.q, kinematics=kin)
-        xi = args.xi
-        if xi is None:
-            # noise floor of differencing vs analytic centrode on a free run
-            # sampled at the stream's t
-            free = pl.simulate_free(model, stream.q, kinematics=kin)
-            xi = ct.default_threshold(
-                ct.centrode_from_stream(free._replace(t=stream.t)), model_trace)
-        detection = ct.fcd_detect(sensed, model_trace, xi=xi,
-                                  window=args.window, t=stream.t)
-        q_at_onset = (float(stream.q[_row_of_t(stream, detection.onset_t,
-                                               "onset_t")])
-                      if detection.detected else None)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"detect: {e}", file=sys.stderr)
-        return EXIT_IO
+    model = _load_model(args.model)
+    stream = ct.read_pose_stream(args.stream)
+    if stream.t.size < 3:
+        raise ValueError("stream too short to difference (need >= 3)")
+    sensed = ct.centrode_from_stream(stream)
+    # one kernel pass at the stream's own pressures gives the model
+    # centrode (which does not depend on the pressure rate, so a
+    # non-uniform schedule is exact) and the free reference poses
+    kin = pl.free_kinematics(model, stream.q)
+    model_trace = pl.model_centrode(model, stream.q, kinematics=kin)
+    xi = args.xi
+    if xi is None:
+        # noise floor of differencing vs analytic centrode on a free run
+        # sampled at the stream's t
+        free = pl.simulate_free(model, stream.q, kinematics=kin)
+        xi = ct.default_threshold(
+            ct.centrode_from_stream(free._replace(t=stream.t)), model_trace)
+    detection = ct.fcd_detect(sensed, model_trace, xi=xi,
+                              window=args.window, t=stream.t)
+    q_at_onset = (float(stream.q[_row_of_t(stream, detection.onset_t,
+                                           "onset_t")])
+                  if detection.detected else None)
     ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed, stream.t)
     ct.write_centrode(_out(args, "model_centrode.csv"), model_trace, stream.t)
     write_json(_out(args, "detection.json"), {
@@ -154,33 +134,29 @@ def cmd_detect(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        model = _load_model(args.model)
-        stream = ct.read_pose_stream(args.stream)
-        # both onset sources name the stream's own t
-        onset = 0
-        if args.onset_t is not None:
-            onset = _row_of_t(stream, args.onset_t, "--onset-t")
-        elif args.detection is not None:
-            with open(args.detection) as f:
-                doc = json.load(f)
-            if not doc.get("detected", False):
-                raise ValueError("detection result reports no contact")
-            onset = _row_of_t(stream, int(doc["onset_t"]), "detected onset_t")
-        sub = stream.rows(slice(onset, None))
-        if sub.t.size < 3:
-            raise ValueError("post-onset stream too short (need >= 3)")
-        sensed = ct.centrode_from_stream(sub)
-        bounds = _parse_bounds(args.bounds) if args.bounds else None
-        W = est.speed_weights(sensed) if args.speed_weights else None
-        problem = est.EstimationProblem(
-            model=model, q_traj=sub.q, sensed=sensed, s0=args.s0, W=W,
-            bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
-        # raises when no sample is valid on both the sensed and model side
-        s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"estimate: {e}", file=sys.stderr)
-        return EXIT_IO
+    model = _load_model(args.model)
+    stream = ct.read_pose_stream(args.stream)
+    # both onset sources name the stream's own t
+    onset = 0
+    if args.onset_t is not None:
+        onset = _row_of_t(stream, args.onset_t, "--onset-t")
+    elif args.detection is not None:
+        with open(args.detection) as f:
+            doc = json.load(f)
+        if not doc.get("detected", False):
+            raise ValueError("detection result reports no contact")
+        onset = _row_of_t(stream, int(doc["onset_t"]), "detected onset_t")
+    sub = stream.rows(slice(onset, None))
+    if sub.t.size < 3:
+        raise ValueError("post-onset stream too short (need >= 3)")
+    sensed = ct.centrode_from_stream(sub)
+    bounds = _parse_bounds(args.bounds) if args.bounds else None
+    W = est.speed_weights(sensed) if args.speed_weights else None
+    problem = est.EstimationProblem(
+        model=model, q_traj=sub.q, sensed=sensed, s0=args.s0, W=W,
+        bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
+    # raises when no sample is valid on both the sensed and model side
+    s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
     write_json(_out(args, "estimation.json"), {
         "s_c_est": report["s_c_est"],
         "iterations": report["iterations"],
@@ -197,19 +173,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        model = _load_model(args.model)
-        ramp = pl.PressureRamp.parse(args.ramp)
-        s_values = [float(v) for v in args.s_values.split(",") if v.strip()]
-        if not s_values:
-            raise ValueError("empty --s-values")
-        outside = [s for s in s_values if not 0.0 <= s < model.L]
-        if outside:
-            raise ValueError(f"--s-values {','.join(f'{s:g}' for s in outside)} "
-                             f"outside [0, {model.L:g})")
-    except (OSError, ValueError, KeyError) as e:
-        print(f"sweep: {e}", file=sys.stderr)
-        return EXIT_IO
+    model = _load_model(args.model)
+    ramp = pl.PressureRamp.parse(args.ramp)
+    s_values = [float(v) for v in args.s_values.split(",") if v.strip()]
+    if not s_values:
+        raise ValueError("empty --s-values")
+    outside = [s for s in s_values if not 0.0 <= s < model.L]
+    if outside:
+        raise ValueError(f"--s-values {','.join(f'{s:g}' for s in outside)} "
+                         f"outside [0, {model.L:g})")
     rows = pl.sweep(model, ramp, s_values)
     write_csv(_out(args, "sweep.csv"), ["s_c", "max_isa_diff"], rows)
     for s_c, val in rows:
@@ -283,6 +255,26 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _config_value(action, val):
+    """A --config value through its flag's own type, as command-line text
+    is: a JSON boolean for a switch, a string or a number for the rest."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"{flag} takes true or false")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ValueError(f"{flag} takes a string or a number")
+    text = str(val)
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except ValueError:
+        raise ValueError(f"{flag}: invalid {action.type.__name__} value "
+                         f"{text!r}") from None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # --config supplies defaults (and satisfies required flags) by rewriting
@@ -301,13 +293,18 @@ def main(argv=None) -> int:
             return EXIT_IO
         overrides = {key.replace("-", "_"): val for key, val in cfg.items()}
         applied = set()
-        for group in parser._subparsers._group_actions:
-            for child in group.choices.values():
-                for action in child._actions:
-                    if action.dest in overrides:
-                        action.default = overrides[action.dest]
-                        action.required = False
-                        applied.add(action.dest)
+        try:
+            for group in parser._subparsers._group_actions:
+                for child in group.choices.values():
+                    for action in child._actions:
+                        if action.dest in overrides:
+                            action.default = _config_value(
+                                action, overrides[action.dest])
+                            action.required = False
+                            applied.add(action.dest)
+        except ValueError as e:
+            print(f"config: {e}", file=sys.stderr)
+            return EXIT_IO
         unknown = set(overrides) - applied
         if unknown:
             print(f"config: unknown keys {sorted(unknown)}", file=sys.stderr)
@@ -316,7 +313,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_IO if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, KeyError) as e:
+        # RankDeficientError is a ValueError with an exit code of its own
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return EXIT_RANK if isinstance(e, RankDeficientError) else EXIT_IO
 
 
 if __name__ == "__main__":

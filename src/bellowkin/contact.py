@@ -1,4 +1,5 @@
-"""Piecewise kinematics after a pinning contact.
+"""The pinning contact: its frozen record and the kinematics and centrodes
+of the pinned backbone.
 
 A contact at arc length s_c splits the backbone in two.  The proximal
 portion [0, s_c] keeps the shape it had at the onset pressure q_c; the
@@ -14,15 +15,21 @@ un-pin the contact, so those queries are rejected.
 This module records the frozen state (freeze, station_pose).  The
 contacted tip pose and twist over a ramp come from
 kinematics.ramp_kinematics with the ContactState; contact_tip_pose is its
-single-pressure read.
+single-pressure read.  A contact hypothesis pins at the first pressure of
+a ramp (pinned_ramp); its centrode and the exact derivative of that
+centrode in s_c come from the same kernel pass, and the estimator's
+residual and gradient are built on them.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import modal
+from .centrode import CentrodeTrace, instant_centers
 from .kinematics import DEFAULT_PANELS, PlanarPose, ramp_kinematics
 from .quadrature import panel_nodes
 
@@ -30,7 +37,8 @@ from .quadrature import panel_nodes
 @dataclass(frozen=True)
 class ContactState:
     """Frozen proximal record: where, at what pressure, and the integrated
-    pose base_pose_c of the station s = s_c at onset."""
+    pose base_pose_c of the station s = s_c at onset; its theta is the
+    frozen tangent the distal field starts from."""
 
     s_c: float
     q_c: float
@@ -82,3 +90,61 @@ def contact_tip_pose(model: modal.ModalModel, contact: ContactState,
     kinematics.ramp_kinematics under the contact."""
     k = ramp_kinematics(model, [q], contact)
     return PlanarPose(x=float(k.x[0]), z=float(k.z[0]), theta=float(k.theta[0]))
+
+
+def pinned_ramp(model: modal.ModalModel, s_c: float, q):
+    """Pin, pressure rate and kinematics of a pin at s_c that holds from
+    the first pressure q[0] on; freeze rejects an s_c outside (0, L)."""
+    q = np.asarray(q, dtype=float)
+    contact = freeze(model, float(q[0]), s_c)
+    qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
+    return contact, qdot, ramp_kinematics(model, q, contact, qdot)
+
+
+def hypothesis_centrode(model: modal.ModalModel, s_c: float, q) -> CentrodeTrace:
+    """Centrode under a contact at s_c that pins at the first pressure q[0].
+
+    The twist rate is the first pressure step, matching the step-indexed
+    differencing of sensed streams (the centrode itself does not depend on
+    it; only the validity threshold on omega does).
+    """
+    _, _, k = pinned_ramp(model, s_c, q)
+    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+
+
+class CentrodeGradient(NamedTuple):
+    """A hypothesis centrode (cx, cz, valid as in CentrodeTrace) and its
+    derivatives dcx, dcz with respect to the contact location; all NaN
+    where not valid."""
+
+    cx: np.ndarray
+    cz: np.ndarray
+    valid: np.ndarray
+    dcx: np.ndarray
+    dcz: np.ndarray
+
+
+def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float,
+                                 q) -> CentrodeGradient:
+    """hypothesis_centrode, bit for bit, and its exact derivative in s_c.
+
+    Moving the pin by ds_c moves the contact station P0 along the frozen
+    tangent t(th_off), turns the distal body about P0 at the frozen
+    curvature k_off = dtheta/ds(s_c, q_c), and shortens the distal arc
+    ell = L - s_c.  Differentiating c = P + rot90(v)/omega through all three
+    (the end-of-arc terms of P and rot90(v)/omega cancel) leaves
+      dc/ds_c = t(th_off) + k_off rot90(c - P0) - rot90(v) domega/omega^2,
+      domega/ds_c = -qdot d2theta/(ds dq)(ell, q),
+    so the kernel's one field evaluation serves both.  P0 and th_off are
+    the frozen base pose, whose derivative is taken as the exact t(th_off).
+    """
+    contact, qdot, k = pinned_ramp(model, s_c, q)
+    c = instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+    s_c, base = contact.s_c, contact.base_pose_c
+    k_off = modal.dtheta_ds(model, s_c, contact.q_c)
+    d_omega = -qdot * modal.d2theta_dsdq_grid(model, model.L - s_c, q)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(c.valid, d_omega / (k.omega * k.omega), np.nan)
+    dcx = math.cos(base.theta) - k_off * (c.cz - base.z) + k.vz * rate
+    dcz = math.sin(base.theta) + k_off * (c.cx - base.x) - k.vx * rate
+    return CentrodeGradient(cx=c.cx, cz=c.cz, valid=c.valid, dcx=dcx, dcz=dcz)

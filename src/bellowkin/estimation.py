@@ -13,7 +13,7 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace
-from .ramp import _pinned_ramp, hypothesis_centrode, hypothesis_centrode_gradient
+from .contact import hypothesis_centrode, hypothesis_centrode_gradient, pinned_ramp
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -30,6 +30,18 @@ def _ramp_values(q_traj) -> np.ndarray:
     return q
 
 
+def _weights(W, n: int):
+    """Per-sample weights as a float vector, or None for identity; anything
+    but one finite, positive weight for each of the n samples raises."""
+    if W is None:
+        return None
+    w = np.asarray(W, dtype=float)
+    if w.shape != (n,) or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"W must hold one finite, positive weight for each "
+                         f"of the {n} samples")
+    return w
+
+
 def _sensed_arrays(sensed: CentrodeTrace) -> CentrodeTrace:
     """A sensed centrode trace with float coordinates and a bool mask."""
     return CentrodeTrace(cx=np.asarray(sensed.cx, dtype=float),
@@ -43,8 +55,8 @@ class EstimationProblem:
 
     q_traj is the post-onset pressure ramp (first entry = onset pressure);
     sensed is the CentrodeTrace over the same samples.  W is None for
-    identity, a per-sample weight vector, or a full matrix over the stacked
-    valid residual.  sensed_end_pose (x, z) enables the end-tip error metric.
+    identity or one positive weight per sample.  sensed_end_pose (x, z)
+    enables the end-tip error metric.
     """
 
     model: modal.ModalModel
@@ -67,18 +79,7 @@ class EstimationProblem:
             raise ValueError("bounds must satisfy 0 < lo < hi < L")
         if not (lo <= self.s0 <= hi):
             raise ValueError("s0 outside bounds")
-        if self.W is not None:
-            Wa = np.asarray(self.W, dtype=float)
-            if Wa.ndim == 1:
-                if np.any(Wa <= 0):
-                    raise ValueError("per-sample weights must be positive")
-            elif Wa.ndim == 2:
-                if not np.allclose(Wa, Wa.T):
-                    raise ValueError("W must be symmetric")
-                np.linalg.cholesky(Wa)  # positive definite or raise
-            else:
-                raise ValueError("W must be a vector or a matrix")
-            self.W = Wa
+        self.W = _weights(self.W, len(self.q_traj))
 
 
 def predicted_centrode(model: modal.ModalModel, s_c_hyp: float,
@@ -90,7 +91,7 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float,
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
     scale-invariant).  Evaluation batches the whole ramp through
-    ramp.hypothesis_centrode.
+    contact.hypothesis_centrode.
     """
     return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj))
 
@@ -100,7 +101,7 @@ def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
     """Stacked residual sensed - predicted at s_c, its derivative in s_c,
     and the mask of samples valid on both sides.
 
-    Rows interleave (x, z) per masked sample, the layout a matrix W spans.
+    Rows interleave (x, z) per masked sample.
     """
     if len(sensed.valid) != len(q):
         raise ValueError("traces differ in length")
@@ -115,24 +116,18 @@ def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
 
 
 def _apply_weight(r: np.ndarray, W, mask: np.ndarray) -> np.ndarray:
-    """W r for the stacked valid residual (vector W is per-sample)."""
+    """The stacked valid residual r scaled by its samples' weights W."""
     if W is None:
         return r
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        w = np.repeat(W[mask], 2)
-        return w * r
-    if W.shape != (len(r), len(r)):
-        raise ValueError("matrix W does not match the stacked valid residual")
-    return W @ r
+    return np.repeat(W[mask], 2) * r
 
 
 def centrode_objective(model: modal.ModalModel, s_c: float, q_traj, sensed,
                        W=None) -> float:
     """Half the weighted squared centrode gap at hypothesis s_c."""
-    r, _, mask = _residual(model, s_c, _ramp_values(q_traj),
-                           _sensed_arrays(sensed))
-    return 0.5 * float(r @ _apply_weight(r, W, mask))
+    q = _ramp_values(q_traj)
+    r, _, mask = _residual(model, s_c, q, _sensed_arrays(sensed))
+    return 0.5 * float(r @ _apply_weight(r, _weights(W, len(q)), mask))
 
 
 def _objective_state(problem: EstimationProblem, s_c: float):
@@ -145,34 +140,27 @@ def _objective_state(problem: EstimationProblem, s_c: float):
     return obj, g, H
 
 
-def estimate_contact(problem: EstimationProblem,
-                     max_iter: int = LM_MAX_ITER,
-                     lm_lambda0: float = LM_LAMBDA0,
-                     step_tol: float = LM_STEP_TOL,
-                     obj_rel_tol: float = LM_OBJ_REL_TOL):
+def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
     """Levenberg-Marquardt over the scalar contact location.
 
-    Rejected steps raise the damping tenfold, accepted ones lower it;
-    candidates are projected to the bounds.  Stops on a sub-step_tol
-    accepted move or a relative objective decrease below obj_rel_tol.
+    Damping starts at LM_LAMBDA0; rejected steps raise it tenfold, accepted
+    ones lower it.  The damped curvature H + lambda stays positive because
+    H sums squares under positive weights.  Candidates are projected to the
+    bounds.  Stops on an accepted move below LM_STEP_TOL or a relative
+    objective decrease below LM_OBJ_REL_TOL.
     Returns (s_c_est, report); report['converged'] is False when max_iter
     runs out, with the best iterate still reported.
     """
     lo, hi = problem.bounds
     s_c = float(problem.s0)
     obj, g, H = _objective_state(problem, s_c)
-    lam = lm_lambda0
+    lam = LM_LAMBDA0
     trace = [(0, s_c, obj)]
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        denom = H + lam
-        if denom <= 0:
-            lam = max(10.0 * lam, 1e-12)
-            trace.append((it, s_c, obj))
-            continue
-        cand = float(np.clip(s_c - g / denom, lo, hi))
+        cand = float(np.clip(s_c - g / (H + lam), lo, hi))
         step = cand - s_c
         try:
             cand_obj, cand_g, cand_H = _objective_state(problem, cand)
@@ -185,20 +173,20 @@ def estimate_contact(problem: EstimationProblem,
             s_c, obj, g, H = cand, cand_obj, cand_g, cand_H
             lam = max(lam / 10.0, 1e-15)
             trace.append((it, s_c, obj))
-            if abs(step) < step_tol or rel_drop < obj_rel_tol:
+            if abs(step) < LM_STEP_TOL or rel_drop < LM_OBJ_REL_TOL:
                 converged = True
                 break
         else:
             lam *= 10.0
             trace.append((it, s_c, obj))
-            if abs(step) < step_tol:
+            if abs(step) < LM_STEP_TOL:
                 # no downhill move within resolution; treat as stationary
                 converged = True
                 break
     end_tip_err = float("nan")
     if problem.sensed_end_pose is not None:
         # the pin at s_c from q_traj[0] on, read at the last pressure
-        _, _, tip = _pinned_ramp(problem.model, s_c, problem.q_traj[[0, -1]])
+        _, _, tip = pinned_ramp(problem.model, s_c, problem.q_traj[[0, -1]])
         ex, ez = problem.sensed_end_pose
         end_tip_err = float(np.hypot(tip.x[-1] - ex, tip.z[-1] - ez))
     report = {
@@ -230,11 +218,12 @@ def grid_oracle(model: modal.ModalModel, sensed, q_traj, grid,
     return best_s
 
 
-def speed_weights(sensed, scale: float = None) -> np.ndarray:
+def speed_weights(sensed) -> np.ndarray:
     """Per-sample weights that de-emphasize fast-moving sensed centrodes.
 
-    Weight 1/(1 + (speed/scale)^2) with speed from neighbor differences;
-    invalid samples get weight 1 (they are dropped from residuals anyway).
+    Weight 1/(1 + (speed/scale)^2) with speed from neighbor differences and
+    scale their median; invalid samples get weight 1 (they are dropped from
+    residuals anyway).
     """
     c = _sensed_arrays(sensed)
     pts = np.where(c.valid[:, None], np.column_stack((c.cx, c.cz)), np.nan)
@@ -244,9 +233,8 @@ def speed_weights(sensed, scale: float = None) -> np.ndarray:
         speed[1:-1] = 0.5 * (d[:-1] + d[1:])
         speed[0], speed[-1] = d[0], d[-1]
     finite = np.isfinite(speed)
-    if scale is None:
-        scale = float(np.nanmedian(speed[finite])) if np.any(finite) else 1.0
-        scale = scale if scale > 0 else 1.0
+    scale = float(np.nanmedian(speed[finite])) if np.any(finite) else 1.0
+    scale = scale if scale > 0 else 1.0
     w = np.ones(len(pts))
     w[finite] = 1.0 / (1.0 + (speed[finite] / scale) ** 2)
     return w

@@ -95,8 +95,8 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
     contact=None is the free backbone over [0, L].  A contact.ContactState
     gives the contacted backbone: the frozen base pose plus the distal
     field theta(u, q) - theta(0, q) + theta(s_c, q_c) over u in
-    [0, L - s_c], which starts at the frozen tangent, so every q must be at
-    or above the onset pressure.
+    [0, L - s_c], which starts at the frozen tangent (the base pose's
+    theta), so every q must be at or above the onset pressure.
     """
     q = np.asarray(q, dtype=float)
     if contact is None:
@@ -114,7 +114,7 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
     g = modal.dtheta_dq_grid(model, s, q)
     if contact is not None:
         base0 = th[0].copy()
-        th += modal.theta(model, contact.s_c, contact.q_c)
+        th += contact.base_pose_c.theta
         th -= base0
         g -= g[0].copy()
     theta, omega = wrap_angles(th[1]), qdot * g[1]

@@ -12,9 +12,8 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
-from .contact import freeze
+from .contact import freeze, hypothesis_centrode
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
-from .ramp import hypothesis_centrode
 
 # the ramp kernel holds three (nodes x samples) float arrays at a time,
 # 102 nodes of 8 bytes per sample each: about 250 MB at the cap
@@ -147,34 +146,30 @@ def model_centrode(model: modal.ModalModel, ramp,
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
-def _isa_index(model, q, free: CentrodeTrace, s_c: float) -> float:
-    """Max distance between the contacted and the given free centrode."""
-    if s_c == 0.0:
-        return 0.0
-    pinned = hypothesis_centrode(model, s_c, q)
-    both = free.valid & pinned.valid
-    dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
-    return float(np.max(dist[both], initial=0.0))
+def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
+    """ISA-difference index per contact location, in the given order: the
+    max distance between the contacted and the free centrode over the ramp.
 
-
-def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp,
-                    s_c: float) -> float:
-    """Max distance between contacted and free centrodes over the ramp.
-
+    The free centrode is computed once and shared by every location.
     s_c = 0 pins the clamped base itself: the backbone is unchanged and the
     two centrodes coincide, so the index is exactly zero.
     """
     q, _ = _pressures(ramp)
     free = model_centrode(model, ramp)
-    return _isa_index(model, q, free, s_c)
+    rows = []
+    for s_c in map(float, s_values):
+        index = 0.0
+        if s_c != 0.0:
+            pinned = hypothesis_centrode(model, s_c, q)
+            both = free.valid & pinned.valid
+            dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
+            index = float(np.max(dist[both], initial=0.0))
+        rows.append((s_c, index))
+    return rows
 
 
-def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
-    """ISA-difference index per contact location, in the given order.
-
-    The free centrode is computed once and shared by every location.
-    """
-    q, _ = _pressures(ramp)
-    free = model_centrode(model, ramp)
-    s_values = [float(s_c) for s_c in s_values]
-    return [(s_c, _isa_index(model, q, free, s_c)) for s_c in s_values]
+def isa_sweep_index(model: modal.ModalModel, ramp: PressureRamp,
+                    s_c: float) -> float:
+    """The ISA-difference index at one contact location: a one-location
+    sweep."""
+    return sweep(model, ramp, [s_c])[0][1]

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from bellowkin.ramp import hypothesis_centrode
+from bellowkin.contact import hypothesis_centrode
 
 
 def fd_centrode_gradient(model, s_c_hyp, q, h_s=None):

@@ -145,14 +145,22 @@ def test_csv_loader_errors(tmp_path):
 
     bad_row = tmp_path / "bad_row.csv"
     bad_row.write_text("pressure_psi,point_index,x,z\n0,0,0,0\n0,1,abc,0\n")
-    with pytest.raises(ValueError, match="row 3"):
+    with pytest.raises(ValueError, match="row 2"):
         load_calibration_csv(bad_row)
 
+    # rows are numbered from 1 after the header, blank lines skipped
     for bad in ("nan,1,0,0", "0,1,inf,0", "0,1,0,-inf"):
         non_finite = tmp_path / "non_finite.csv"
-        non_finite.write_text(f"pressure_psi,point_index,x,z\n0,0,0,0\n{bad}\n")
-        with pytest.raises(ValueError, match="row 3: .* must be finite"):
+        non_finite.write_text(f"pressure_psi,point_index,x,z\n0,0,0,0\n\n{bad}\n")
+        with pytest.raises(ValueError, match="row 2: .* must be finite"):
             load_calibration_csv(non_finite)
+
+    for bad in ("0,1.5,0,0", "0,nan,0,0", "0,inf,0,0", "nan,0.5,0,0"):
+        fractional = tmp_path / "fractional.csv"
+        fractional.write_text(f"pressure_psi,point_index,x,z\n0,0,0,0\n{bad}\n")
+        with pytest.raises(ValueError, match="row 2: point_index must be an "
+                                             "integer"):
+            load_calibration_csv(fractional)
 
 
 def test_inconsistent_point_counts_rejected():

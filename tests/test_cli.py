@@ -167,7 +167,7 @@ def test_calibrate_non_finite_point_exit_1(tmp_path, capsys):
     out = tmp_path / "cal"
     assert run(["calibrate", "--input", str(bad), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == ("calibrate: calibration CSV row 6: pressure and coordinates "
+    assert err == ("calibrate: calibration CSV row 5: pressure and coordinates "
                    "must be finite\n")
     assert not out.exists()
 
@@ -356,6 +356,70 @@ def test_config_file_supplies_flags(workdir, tmp_path):
     assert os.path.exists(os.path.join(out2, "pose_stream.csv"))
     # config defaults do not outlive their call
     assert run(["simulate", "--out-dir", str(tmp_path / "nocfg")]) == 1
+
+
+def stage_argv(workdir, stage, out):
+    """A valid command line of the stage, writing to out."""
+    model, stream = workdir["model"], os.path.join(workdir["sim"], "pose_stream.csv")
+    argv = {
+        "calibrate": ["--input", DATA_CSV],
+        "simulate": ["--model", model, "--ramp", "5:6:0.05", "--contact", "100@5"],
+        "detect": ["--model", model, "--stream", stream],
+        "estimate": ["--model", model, "--stream", stream, "--s0", "200"],
+        "sweep": ["--model", model, "--ramp", "5:6:0.05", "--s-values", "0,100"],
+    }[stage]
+    return [stage, *argv, "--out-dir", str(out)]
+
+
+STAGES = ["calibrate", "simulate", "detect", "estimate", "sweep"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_out_dir_not_a_directory_exit_1(workdir, tmp_path, capsys, stage, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert run(stage_argv(workdir, stage, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("stage, cfg", [
+    ("detect", {"window": 2.5}), ("estimate", {"s0": None}),
+    ("calibrate", {"v": 3.0}), ("simulate", {"ramp": 5}),
+    ("sweep", {"s-values": [0, 100]}), ("estimate", {"max-iter": "many"}),
+    ("estimate", {"speed-weights": 1}), ("estimate", {"speed-weights": "true"}),
+], ids=["float_int", "null_float", "float_for_int", "number_for_ramp",
+        "list_for_text", "text_for_int", "number_for_switch", "text_for_switch"])
+def test_config_wrong_type_exit_1(workdir, tmp_path, capsys, stage, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = stage_argv(workdir, stage, tmp_path / "out")
+    key = next(iter(cfg))
+    flag = f"--{key}"
+    if flag in argv:  # the config value is the only one given
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    assert run(["--config", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # a text flag takes the number as text, which its stage then refuses
+    assert err.startswith(f"{stage}: " if key == "ramp" else "config: ")
+
+
+def test_config_values_typed_as_flags(workdir, tmp_path):
+    # numbers for text flags and text for numeric flags read as on the
+    # command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s-values": 100, "ramp": "5:6:0.05",
+                               "window": "3", "speed-weights": False}))
+    out = tmp_path / "sweep"
+    assert run(["--config", str(cfg), "sweep", "--model", workdir["model"],
+                "--out-dir", str(out)]) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[0] for r in rows] == ["100"]
 
 
 def test_config_unknown_key_exit_1(workdir, tmp_path):

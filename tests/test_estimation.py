@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellowkin.centrode import CentrodeTrace, centrode_from_stream
-from bellowkin.contact import freeze
+from bellowkin.contact import freeze, hypothesis_centrode_gradient
 from bellowkin.estimation import (
     EstimationProblem,
     centrode_objective,
@@ -12,7 +12,6 @@ from bellowkin.estimation import (
     speed_weights,
 )
 from bellowkin.pipeline import PressureRamp, simulate_contact
-from bellowkin.ramp import hypothesis_centrode_gradient
 from tests.conftest import make_random_model
 from tests.finite_difference import fd_centrode_gradient
 from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
@@ -193,23 +192,16 @@ def test_estimate_invariant_under_weight_rescale(reference_model, sensed_scenari
     assert abs(s1 - s2) <= 0.01
 
 
-def test_matrix_and_per_sample_weights(reference_model, sensed_scenario):
-    # estimates pinned from the finite-difference-gradient estimator; the
-    # exact gradient moves them by well under 1e-6 LU
+def test_per_sample_weights(reference_model, sensed_scenario):
+    # the estimate pinned from the finite-difference-gradient estimator; the
+    # exact gradient moves it by well under 1e-6 LU
     sensed, _ = sensed_scenario
-    w = speed_weights(sensed)
-    blocks = np.kron(np.diag(w), np.array([[1.0, 0.3], [0.3, 1.0]]))
-    results = {}
-    for name, W in (("vector", w), ("diagonal", np.diag(np.repeat(w, 2))),
-                    ("coupled", blocks)):
-        problem = EstimationProblem(model=reference_model, q_traj=RAMP.values,
-                                    sensed=sensed, s0=200.0, W=W)
-        s_est, report = estimate_contact(problem)
-        assert report["converged"]
-        results[name] = s_est
-    assert results["vector"] == pytest.approx(100.00066581455694, abs=1e-6)
-    assert results["coupled"] == pytest.approx(100.00066438885874, abs=1e-6)
-    assert abs(results["diagonal"] - results["vector"]) <= 1e-12
+    problem = EstimationProblem(model=reference_model, q_traj=RAMP.values,
+                                sensed=sensed, s0=200.0,
+                                W=speed_weights(sensed))
+    s_est, report = estimate_contact(problem)
+    assert report["converged"]
+    assert s_est == pytest.approx(100.00066581455694, abs=1e-6)
 
 
 def test_sensed_trace_as_arrays_or_lists(reference_model, sensed_scenario):
@@ -271,14 +263,19 @@ def test_problem_validation(reference_model, sensed_scenario):
     with pytest.raises(ValueError, match="differ in length"):
         EstimationProblem(model=reference_model, q_traj=q[:-1], sensed=sensed,
                           s0=100.0)
-    with pytest.raises(ValueError, match="positive"):
-        EstimationProblem(model=reference_model, q_traj=q, sensed=sensed,
-                          s0=100.0, W=-np.ones(len(sensed.valid)))
-    bad = np.eye(2 * len(sensed.valid))
-    bad[0, 1] = 0.5  # asymmetric
-    with pytest.raises(ValueError, match="symmetric"):
-        EstimationProblem(model=reference_model, q_traj=q, sensed=sensed,
-                          s0=100.0, W=bad)
+    n = len(sensed.valid)
+    one_zero = np.ones(n)
+    one_zero[7] = 0.0
+    one_inf = np.ones(n)
+    one_inf[7] = np.inf
+    for W in (-np.ones(n), one_zero, one_inf, np.full(n, np.nan),
+              np.ones(5), np.ones(n + 1), np.eye(n), np.ones((n, 1))):
+        with pytest.raises(ValueError, match="one finite, positive weight "
+                                             f"for each of the {n} samples"):
+            EstimationProblem(model=reference_model, q_traj=q, sensed=sensed,
+                              s0=100.0, W=W)
+    with pytest.raises(ValueError, match="positive weight"):
+        centrode_objective(reference_model, 100.0, q, sensed, W=np.ones(5))
 
 
 def test_objective_requires_valid_overlap(reference_model):

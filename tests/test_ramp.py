@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bellowkin import modal, pipeline, ramp
+from bellowkin import modal, pipeline
 from bellowkin.centrode import instant_centers
-from bellowkin.contact import freeze
+from bellowkin.contact import (freeze, hypothesis_centrode,
+                               hypothesis_centrode_gradient, pinned_ramp)
 from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
                                   wrap_angles)
 from bellowkin.modal import ModalModel
@@ -145,8 +146,8 @@ def test_gradient_kernel_centrode_is_hypothesis_centrode(reference_model, n):
     cases = [(reference_model, np.linspace(5.0, 20.0, n), 130.0),
              (omega_zero_model(), 10.0 + 0.01 * (np.arange(n) - n // 2), 150.0)]
     for model, q, s_c in cases:
-        grad = ramp.hypothesis_centrode_gradient(model, s_c, q)
-        ref = ramp.hypothesis_centrode(model, s_c, q)
+        grad = hypothesis_centrode_gradient(model, s_c, q)
+        ref = hypothesis_centrode(model, s_c, q)
         assert np.array_equal(grad.valid, ref.valid)
         assert np.array_equal(grad.cx, ref.cx, equal_nan=True)
         assert np.array_equal(grad.cz, ref.cz, equal_nan=True)
@@ -164,12 +165,30 @@ def test_pin_base_pose_matches_65_station_reference(reference_model, q_c):
     # 0..21 Psi, so q_c = 30 extrapolates
     for s_c in np.linspace(0.0, reference_model.L, 99)[1:-1]:
         for contact in (freeze(reference_model, q_c, s_c),
-                        ramp._pinned_ramp(reference_model, s_c, [q_c])[0]):
+                        pinned_ramp(reference_model, s_c, [q_c])[0]):
             got = contact.base_pose_c
             ref = station_pose(reference_model, q_c, s_c)
             assert abs(got.x - ref.x) <= 1e-11
             assert abs(got.z - ref.z) <= 1e-11
             assert abs(got.theta - ref.theta) <= 1e-12
+
+
+def test_pin_tangent_is_read_from_the_base_pose(reference_model, monkeypatch):
+    # the frozen tangent comes with the base pose, from the same field
+    # column: no scalar field read at the pin point
+    calls = []
+    theta = modal.theta
+
+    def counting_theta(*args, **kwargs):
+        calls.append(args)
+        return theta(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "theta", counting_theta)
+    q = PressureRamp(5.0, 20.0, 0.05).values
+    hypothesis_centrode_gradient(reference_model, 100.0, q)
+    assert calls == []
+    ramp_kinematics(reference_model, q, freeze(reference_model, 5.0, 100.0))
+    assert calls == []
 
 
 def test_contact_ramp_rejects_release(reference_model):
