@@ -78,7 +78,8 @@ def cmd_simulate(args) -> int:
         stream, contact_state = pl.simulate_contact(model, ramp, s_c, q_c)
     else:
         stream = pl.simulate_free(model, ramp)
-    if args.noise_pos > 0 or args.noise_ang > 0:
+    # add_noise refuses a negative or non-finite sigma
+    if args.noise_pos != 0 or args.noise_ang != 0:
         stream = pl.add_noise(stream, args.noise_pos, args.noise_ang,
                               seed=args.seed)
     ct.write_pose_stream(_out(args, "pose_stream.csv"), stream)

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, instant_centers
-from .kinematics import DEFAULT_PANELS, PlanarPose, ramp_kinematics
-from .quadrature import panel_nodes
+from .kinematics import PlanarPose, arc_field, ramp_kinematics
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,11 @@ class ContactState:
 
 def station_pose(model: modal.ModalModel, q_c: float, s_c: float) -> PlanarPose:
     """Pose of the station s_c at pressure q_c: theta(s, q_c) integrated
-    over [0, s_c] on the ramp kernel's node layout, from one field column."""
-    nodes, wts = panel_nodes(0.0, float(s_c), DEFAULT_PANELS)
-    th = modal.theta_grid(model, np.concatenate(([s_c], nodes)), [q_c])[:, 0]
-    return PlanarPose(x=float(wts @ np.cos(th[1:])),
-                      z=float(wts @ np.sin(th[1:])), theta=float(th[0]))
+    over [0, s_c] on the ramp kernel's arc rule, from one field column."""
+    th, _, wts = arc_field(model, s_c, [q_c])
+    th = th[:, 0]
+    return PlanarPose(x=float(wts @ np.cos(th[2:])),
+                      z=float(wts @ np.sin(th[2:])), theta=float(th[1]))
 
 
 def freeze(model: modal.ModalModel, q_c: float, s_c: float) -> ContactState:

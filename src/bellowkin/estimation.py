@@ -151,6 +151,8 @@ def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
     Returns (s_c_est, report); report['converged'] is False when max_iter
     runs out, with the best iterate still reported.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lo, hi = problem.bounds
     s_c = float(problem.s0)
     obj, g, H = _objective_state(problem, s_c)

@@ -20,8 +20,13 @@ import numpy as np
 from . import modal
 from .quadrature import panel_nodes
 
-DEFAULT_PANELS = 20
+DEFAULT_PANELS = 1
 _Q_TOL = 1e-12
+
+# the arc rule on [0, 1]; the field rows of an arc are its base, its end
+# and its nodes, and an arc [0, ell] scales the nodes and weights by ell
+_XI, _XI_W = panel_nodes(0.0, 1.0, DEFAULT_PANELS)
+_ARC_ROWS = np.concatenate(([0.0, 1.0], _XI))
 
 
 def wrap_angle(a: float) -> float:
@@ -72,6 +77,14 @@ def _check_q(contact, q: float):
         raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
 
 
+def arc_field(model: modal.ModalModel, ell: float, q):
+    """The field over the arc [0, ell] at the pressures q, on the arc
+    rule: theta and dtheta/dq at the rows (0, ell, nodes...), each of
+    shape (2 + nodes, len(q)), and the weights of the nodes."""
+    th, g = modal.arc_grids(model, ell, _ARC_ROWS, q)
+    return th, g, ell * _XI_W
+
+
 class RampKinematics(NamedTuple):
     """Tip pose (x, z, theta) and twist (vx, vz, omega) per ramp sample."""
 
@@ -106,12 +119,9 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
             _check_q(contact, float(q.min()))
         ell = model.L - contact.s_c
         x0, z0 = contact.base_pose_c.x, contact.base_pose_c.z
-    nodes, wts = panel_nodes(0.0, ell, DEFAULT_PANELS)
-    s = np.concatenate(([0.0, ell], nodes))
-    # (nodes x samples) arrays are updated in place: a long ramp holds
+    # (rows x samples) arrays are updated in place: a long ramp holds
     # three of them at a time instead of eight
-    th = modal.theta_grid(model, s, q)
-    g = modal.dtheta_dq_grid(model, s, q)
+    th, g, wts = arc_field(model, ell, q)
     if contact is not None:
         base0 = th[0].copy()
         th += contact.base_pose_c.theta

@@ -58,6 +58,9 @@ class ModalModel:
             raise ValueError("basis orders v, w must be >= 1")
         if not (self.L > 0):
             raise ValueError("arc length L must be positive")
+        if not (np.isfinite(self.unit_scale) and self.unit_scale > 0):
+            raise ValueError(f"unit_scale must be positive and finite, "
+                             f"got {self.unit_scale}")
 
     @property
     def v(self) -> int:
@@ -127,6 +130,25 @@ def _grid(model: ModalModel, s, q, s_rows, q_cols) -> np.ndarray:
     s = model._check_s(np.atleast_1d(s))
     return (s_rows(s / model.L, model.v) @ model.A
             @ q_cols(np.asarray(q, dtype=float), model.w))
+
+
+def arc_grids(model: ModalModel, ell: float, xi, q):
+    """theta and dtheta/dq on the outer grid of the arc samples ell * xi
+    x the pressures q, for reference rows xi on [0, 1].
+
+    psi(ell xi / L) is the Vandermonde of xi times the diagonal
+    (ell / L)^k, which is folded into A, so of the arc only ell is
+    range-checked.  Returns two arrays of shape (len(xi), len(q)).
+    """
+    # _check_s's bounds on the one float, without its array round trip
+    ell, L = float(ell), model.L
+    if not -_S_TOL * L <= ell <= L + _S_TOL * L:
+        raise ValueError(f"arc length outside [0, {L}]")
+    ell = min(max(ell, 0.0), L)
+    q = np.asarray(q, dtype=float)
+    B = _psi_rows(xi, model.v) @ (
+        np.power(ell / L, np.arange(model.v))[:, None] * model.A)
+    return B @ _eta_cols(q, model.w), B @ _deta_dq_cols(q, model.w)
 
 
 def theta_grid(model: ModalModel, s, q) -> np.ndarray:

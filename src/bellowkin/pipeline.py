@@ -15,8 +15,8 @@ from .centrode import CentrodeTrace, PoseStream, instant_centers
 from .contact import freeze, hypothesis_centrode
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 
-# the ramp kernel holds three (nodes x samples) float arrays at a time,
-# 102 nodes of 8 bytes per sample each: about 250 MB at the cap
+# the ramp kernel holds three (field rows x samples) float arrays at a
+# time, 26 rows of 8 bytes per sample each: about 62 MB at the cap
 MAX_RAMP_SAMPLES = 100_000
 
 
@@ -118,10 +118,15 @@ def add_noise(stream: PoseStream, sigma_pos: float, sigma_ang: float,
               seed: int = 0) -> PoseStream:
     """Additive Gaussian pose noise for robustness experiments.
 
-    The draws come in per-sample order (dx, dz, then dtheta), each set
-    left out when its sigma is not positive: the same numbers, bit for bit,
-    as per-sample normal(0, sigma) calls on the same generator.
+    Each sigma must be finite and non-negative.  The draws come in
+    per-sample order (dx, dz, then dtheta), each set left out when its
+    sigma is zero: the same numbers, bit for bit, as per-sample
+    normal(0, sigma) calls on the same generator.
     """
+    for what, sigma in (("position", sigma_pos), ("angle", sigma_ang)):
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"{what} noise sigma must be finite and "
+                             f"non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     pos, ang = sigma_pos > 0, sigma_ang > 0
     e = rng.standard_normal((stream.t.size, 2 * pos + ang))

@@ -1,28 +1,41 @@
-"""Deterministic composite Gauss-Legendre quadrature on fixed panels.
+"""Deterministic Gauss-Legendre quadrature: the arc rule and the station rule.
 
-All integrals in this package run on the same fixed node layout so that
-quantities differentiated under the integral sign (Jacobians) stay exactly
-consistent with the integrals they derive from.
+The arc rule integrates over a whole arc [0, ell]: the tip pose and twist
+of kinematics.ramp_kinematics and the pin's base pose in
+contact.station_pose.  It is one 24-point Gauss-Legendre panel (exact for
+polynomials up to degree 47); the tangent field is analytic in arc length,
+so one panel integrates it to round-off.  panel_nodes lays it out on
+[a, b], as a composite of n_panels panels; the kernel takes its reference
+nodes on [0, 1] once, and an arc [0, ell] scales nodes and weights by ell.
+Quantities differentiated under the integral sign (the twists) use the
+same nodes, so they stay the exact derivatives of the integrals they
+derive from.
+
+The station rule, cumulative_stations, integrates between consecutive
+marker stations with one 5-point panel per interval (calibration and the
+synthetic ground truth).
 """
 
 import numpy as np
 
-# 5-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to degree 9.
+# the arc rule on [-1, 1]
+_ARC_X, _ARC_W = np.polynomial.legendre.leggauss(24)
+# the station rule on [-1, 1]; exact for polynomials up to degree 9
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 
 
 def panel_nodes(a: float, b: float, n_panels: int):
-    """Nodes and weights of the composite 5-point rule on [a, b].
+    """Nodes and weights of the composite arc rule on [a, b].
 
-    Returns (nodes, weights) as flat arrays of length 5*n_panels.
+    Returns (nodes, weights) as flat arrays of length 24*n_panels.
     """
     if n_panels < 1:
         raise ValueError("n_panels must be >= 1")
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    weights = (half[:, None] * _GL_W[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _ARC_X[None, :]).ravel()
+    weights = (half[:, None] * _ARC_W[None, :]).ravel()
     return nodes, weights
 
 

@@ -2,11 +2,12 @@
 and instant center at one pressure, each integrated on its own.
 
 The package itself integrates the tip pose and twist only in
-kinematics.ramp_kinematics; these scalar integrals, on the same node
-layout, are what test_ramp and test_estimation compare it against.  Also
-kept here as oracles: the constant-curvature closed form (cc_pose), the
-piecewise tangent field of a contacted backbone (contact_theta), and the
-pin's base pose integrated over 65 equal stations (station_pose).
+kinematics.ramp_kinematics, on one 24-point Gauss-Legendre panel; these
+scalar integrals, on their own rule (REFERENCE_PANELS panels of the
+5-point rule), are what test_ramp and test_estimation compare it against.
+Also kept here as oracles: the constant-curvature closed form (cc_pose),
+the piecewise tangent field of a contacted backbone (contact_theta), and
+the pin's base pose integrated over 65 equal stations (station_pose).
 """
 
 import math
@@ -17,9 +18,24 @@ import numpy as np
 from bellowkin import modal
 from bellowkin.centrode import EPS_OMEGA
 from bellowkin.contact import ContactState
-from bellowkin.kinematics import (DEFAULT_PANELS, PlanarPose, _check_q,
-                                  _warn_extrapolation)
-from bellowkin.quadrature import cumulative_stations, panel_nodes
+from bellowkin.kinematics import PlanarPose, _check_q, _warn_extrapolation
+from bellowkin.quadrature import cumulative_stations
+
+REFERENCE_PANELS = 20
+
+# 5-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to degree 9
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+
+
+def panel_nodes(a: float, b: float, n_panels: int):
+    """Nodes and weights of the composite 5-point rule on [a, b], as flat
+    arrays of length 5*n_panels."""
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    weights = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, weights
 
 
 @dataclass
@@ -110,7 +126,7 @@ def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
 
 
 def pose_at(model: modal.ModalModel, q: float, s: float,
-            n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+            n_panels: int = REFERENCE_PANELS) -> PlanarPose:
     """Pose of the station at arc length s (quadrature from the base)."""
     s = float(model._check_s(s))
     if s == 0.0:
@@ -121,12 +137,12 @@ def pose_at(model: modal.ModalModel, q: float, s: float,
                       theta=modal.theta(model, s, q))
 
 
-def tip_pose(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> PlanarPose:
-    """Tip pose; same node layout as kinematics.ramp_kinematics."""
+def tip_pose(model: modal.ModalModel, q: float, n_panels: int = REFERENCE_PANELS) -> PlanarPose:
+    """Tip pose, quadrature from the base."""
     return pose_at(model, q, model.L, n_panels=n_panels)
 
 
-def jacobian(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) -> np.ndarray:
+def jacobian(model: modal.ModalModel, q: float, n_panels: int = REFERENCE_PANELS) -> np.ndarray:
     """Actuation Jacobian (dx/dq, dz/dq, dtheta_L/dq) at pressure q.
 
     The position rows differentiate the shape quadrature under the integral
@@ -143,7 +159,7 @@ def jacobian(model: modal.ModalModel, q: float, n_panels: int = DEFAULT_PANELS) 
 
 
 def tip_twist(model: modal.ModalModel, q: float, qdot: float,
-              n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
+              n_panels: int = REFERENCE_PANELS) -> PlanarTwist:
     """End-effector twist produced by pressure rate qdot."""
     J = jacobian(model, q, n_panels=n_panels)
     return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)
@@ -157,7 +173,7 @@ def _distal_field(model, contact, q):
 
 
 def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
-                     n_panels: int = DEFAULT_PANELS) -> PlanarPose:
+                     n_panels: int = REFERENCE_PANELS) -> PlanarPose:
     """Tip pose of the contacted backbone; the frozen part contributes
     base_pose_c, the distal part a quadrature over the remaining arc."""
     _check_q(contact, q)
@@ -174,7 +190,7 @@ def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
 
 
 def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
-                     n_panels: int = DEFAULT_PANELS) -> np.ndarray:
+                     n_panels: int = REFERENCE_PANELS) -> np.ndarray:
     """Actuation Jacobian after contact: (dx/dq, dz/dq, dtheta_L/dq).
 
     The frozen portion is pressure-independent (zero rows); only the distal
@@ -198,7 +214,7 @@ def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
 
 
 def contact_tip_twist(model: modal.ModalModel, contact: ContactState, q: float,
-                      qdot: float, n_panels: int = DEFAULT_PANELS) -> PlanarTwist:
+                      qdot: float, n_panels: int = REFERENCE_PANELS) -> PlanarTwist:
     """Tip twist of the contacted backbone under pressure rate qdot."""
     J = contact_jacobian(model, contact, q, n_panels=n_panels)
     return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)

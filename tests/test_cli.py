@@ -172,6 +172,45 @@ def test_calibrate_non_finite_point_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_calibrate_rejects_bad_unit_scale(tmp_path, capsys, scale):
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--input", DATA_CSV, "--unit-scale", scale,
+                "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("calibrate: unit_scale must be positive and finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_estimate_rejects_max_iter_below_one(workdir, tmp_path, capsys,
+                                             max_iter):
+    out = tmp_path / "est"
+    stream = os.path.join(workdir["sim"], "pose_stream.csv")
+    assert run(["estimate", "--model", workdir["model"], "--stream", stream,
+                "--s0", "200", "--max-iter", max_iter,
+                "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"estimate: max_iter must be at least 1, got {max_iter}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, what", [("--noise-pos", "position"),
+                                        ("--noise-ang", "angle")])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_simulate_rejects_bad_noise(workdir, tmp_path, capsys, flag, what,
+                                    sigma):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--model", workdir["model"], "--ramp", "5:6:0.1",
+                flag, sigma, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"simulate: {what} noise sigma must be finite and "
+                          "non-negative")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_calibrate_underdetermined_exit_2(tmp_path):
     assert run(["calibrate", "--input", DATA_CSV, "--v", "6", "--w", "9",
                 "--out-dir", str(tmp_path / "out")]) == 2

@@ -1,19 +1,24 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from bellowkin import modal, pipeline
+from bellowkin.calibration import fit_modal
 from bellowkin.centrode import instant_centers
-from bellowkin.contact import (freeze, hypothesis_centrode,
+from bellowkin.contact import (ContactState, freeze, hypothesis_centrode,
                                hypothesis_centrode_gradient, pinned_ramp)
 from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
                                   wrap_angles)
 from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp
+from bellowkin.synthetic import make_reference_dataset
 from tests.conftest import make_random_model
-from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
-                                        fixed_centrode, station_pose, tip_pose,
+from tests.kinematics_reference import (REFERENCE_PANELS, contact_tip_pose,
+                                        contact_tip_twist, fixed_centrode,
+                                        panel_nodes, station_pose, tip_pose,
                                         tip_twist)
 
 TOL_LU = 1e-12
@@ -76,6 +81,60 @@ def test_free_ramp_matches_per_sample(reference_model, n):
 def test_contact_ramp_matches_per_sample(reference_model, n):
     contact = freeze(reference_model, 5.0, 130.0)
     assert_matches(reference_model, np.linspace(5.0, 20.0, n), contact)
+
+
+def test_arc_rule_matches_dense_reference():
+    # every fitted order on the synthetic set, to twice the calibrated
+    # pressure range, over the whole arc and the distal arcs L/2 and L/10:
+    # the kernel's tip is no further from a 400-panel composite than the
+    # REFERENCE_PANELS composite is, beyond round-off
+    for n_points in (10, 20, 40):
+        dataset = make_reference_dataset(n_points=n_points)
+        for v, w in itertools.product(range(1, 7), range(1, 6)):
+            model, _ = fit_modal(dataset, v=v, w=w)
+            q = np.linspace(0.0, 2.0 * model.q_range[1], 43)
+            for ell in (model.L, model.L / 2, model.L / 10):
+                contact, base = None, 0.0
+                if ell < model.L:
+                    # a pin at the base pose's origin: the distal arc alone
+                    contact = ContactState(model.L - ell, 0.0,
+                                           PlanarPose(0.0, 0.0, 0.0))
+                    base = modal.theta_grid(model, [0.0], q)
+                kin = ramp_kinematics(model, q, contact)
+
+                def composite(n_panels):
+                    nodes, wts = panel_nodes(0.0, ell, n_panels)
+                    th = modal.theta_grid(model, nodes, q) - base
+                    return wts @ np.cos(th), wts @ np.sin(th)
+
+                x, z = composite(400)
+                err = np.max(np.hypot(kin.x - x, kin.z - z))
+                x20, z20 = composite(REFERENCE_PANELS)
+                bound = max(np.max(np.hypot(x20 - x, z20 - z)), 2e-11)
+                assert err <= bound, (n_points, v, w, ell)
+
+
+def test_kernel_checks_only_the_arc_length(reference_model, monkeypatch):
+    # a kernel pass range-checks the arc's length alone, never its nodes,
+    # and lays out no nodes: the arc rule is laid out once, at import
+    checked, laid_out = [], []
+    check_s = modal.ModalModel._check_s
+
+    def counting_check(self, s):
+        checked.append(np.size(s))
+        return check_s(self, s)
+
+    monkeypatch.setattr(modal.ModalModel, "_check_s", counting_check)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bellowkin") and hasattr(module, "panel_nodes"):
+            monkeypatch.setattr(module, "panel_nodes",
+                                lambda *a: laid_out.append(a))
+    q = PressureRamp(5.0, 20.0, 0.05).values
+    ramp_kinematics(reference_model, q)
+    ramp_kinematics(reference_model, q, freeze(reference_model, 5.0, 100.0))
+    hypothesis_centrode_gradient(reference_model, 100.0, q)
+    assert all(n == 1 for n in checked)
+    assert laid_out == []
 
 
 def arc_end(x0, z0, phi0, kappa, ell):
@@ -219,22 +278,40 @@ def test_simulate_contact_splits_at_onset(reference_model):
     assert samples.t.tolist() == list(range(len(r.values)))
 
 
+@pytest.mark.parametrize("sigma_pos, sigma_ang",
+                         [(0.0, 0.0), (0.3, 0.0), (0.0, 0.01), (0.3, 0.01)])
+def test_add_noise_matches_per_sample_draws(reference_model, sigma_pos,
+                                            sigma_ang):
+    # the bulk draw is the per-sample normal(0, sigma) sequence, bit for bit
+    stream = pipeline.simulate_free(reference_model, PressureRamp(5.0, 8.0, 0.25))
+    noisy = pipeline.add_noise(stream, sigma_pos, sigma_ang, seed=7)
+    rng = np.random.default_rng(7)
+    for k in range(stream.t.size):
+        x, z, theta = stream.x[k], stream.z[k], stream.theta[k]
+        if sigma_pos > 0:
+            x += rng.normal(0.0, sigma_pos)
+            z += rng.normal(0.0, sigma_pos)
+        if sigma_ang > 0:
+            theta = wrap_angle(theta + rng.normal(0.0, sigma_ang))
+        assert (noisy.x[k], noisy.z[k], noisy.theta[k]) == (x, z, theta)
+
+
 def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
     # regression guard: the free centrode is shared by every location, and
     # each location adds a fixed number of field evaluations
     grid_calls, free_calls = [], []
-    theta_grid, kernel = modal.theta_grid, pipeline.ramp_kinematics
+    arc_grids, kernel = modal.arc_grids, pipeline.ramp_kinematics
 
     def counting_grid(*args, **kwargs):
         grid_calls.append(1)
-        return theta_grid(*args, **kwargs)
+        return arc_grids(*args, **kwargs)
 
     def counting_kernel(model, q, contact=None, *args, **kwargs):
         if contact is None:
             free_calls.append(1)
         return kernel(model, q, contact, *args, **kwargs)
 
-    monkeypatch.setattr(modal, "theta_grid", counting_grid)
+    monkeypatch.setattr(modal, "arc_grids", counting_grid)
     # the free kernel call is looked up in pipeline (model_centrode)
     monkeypatch.setattr(pipeline, "ramp_kinematics", counting_kernel)
     r = PressureRamp(5.0, 20.0, 0.05)
