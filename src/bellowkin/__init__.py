@@ -5,7 +5,7 @@ from .kinematics import PlanarPose, jacobian, ramp_kinematics, resolved_rates
 from .contact import ContactState, contact_tip_pose, freeze
 from .centrode import (CentrodeTrace, PoseStream, centrode_from_stream,
                        fcd_detect, instant_centers)
-from .estimation import (EstimationProblem, estimate_contact, grid_oracle,
+from .estimation import (EstimationProblem, estimate_contact,
                          predicted_centrode)
 from .pipeline import PressureRamp, simulate_contact, simulate_free, sweep
 
@@ -16,6 +16,5 @@ __all__ = [
     "CentrodeTrace", "PoseStream", "instant_centers",
     "centrode_from_stream", "fcd_detect",
     "EstimationProblem", "predicted_centrode", "estimate_contact",
-    "grid_oracle",
     "PressureRamp", "simulate_free", "simulate_contact", "sweep",
 ]

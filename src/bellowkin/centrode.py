@@ -138,16 +138,16 @@ def fcd_detect(c_sensed: CentrodeTrace, c_model: CentrodeTrace, xi: float,
                            max_deviation=max_dev)
 
 
-def default_threshold(c_sensed_free: CentrodeTrace, c_model_free: CentrodeTrace,
-                      factor: float = DEFAULT_XI_FACTOR,
-                      percentile: float = DEFAULT_XI_PERCENTILE) -> float:
+def default_threshold(c_sensed_free: CentrodeTrace,
+                      c_model_free: CentrodeTrace) -> float:
     """Detection threshold from a contact-free ramp's noise floor.
 
     The differencing error of a free run against the analytic centrode sets
-    the floor; the threshold is factor x its chosen percentile.
+    the floor; the threshold is DEFAULT_XI_FACTOR x its
+    DEFAULT_XI_PERCENTILE-th percentile.
     """
     dev = _aligned_deviations(c_sensed_free, c_model_free)
-    return factor * float(np.nanpercentile(dev, percentile))
+    return DEFAULT_XI_FACTOR * float(np.nanpercentile(dev, DEFAULT_XI_PERCENTILE))
 
 
 def write_pose_stream(path, stream: PoseStream):

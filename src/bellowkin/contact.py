@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modal
-from .centrode import CentrodeTrace, instant_centers
+from .centrode import instant_centers
 from .kinematics import PlanarPose, arc_field, ramp_kinematics
 
 
@@ -100,17 +100,6 @@ def pinned_ramp(model: modal.ModalModel, s_c: float, q):
     return contact, qdot, ramp_kinematics(model, q, contact, qdot)
 
 
-def hypothesis_centrode(model: modal.ModalModel, s_c: float, q) -> CentrodeTrace:
-    """Centrode under a contact at s_c that pins at the first pressure q[0].
-
-    The twist rate is the first pressure step, matching the step-indexed
-    differencing of sensed streams (the centrode itself does not depend on
-    it; only the validity threshold on omega does).
-    """
-    _, _, k = pinned_ramp(model, s_c, q)
-    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
-
-
 class CentrodeGradient(NamedTuple):
     """A hypothesis centrode (cx, cz, valid as in CentrodeTrace) and its
     derivatives dcx, dcz with respect to the contact location; all NaN
@@ -125,7 +114,9 @@ class CentrodeGradient(NamedTuple):
 
 def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float,
                                  q) -> CentrodeGradient:
-    """hypothesis_centrode, bit for bit, and its exact derivative in s_c.
+    """The centrode of a pin at s_c from q[0] on (the one
+    estimation.predicted_centrode returns, bit for bit) and its exact
+    derivative in s_c.
 
     Moving the pin by ds_c moves the contact station P0 along the frozen
     tangent t(th_off), turns the distal body about P0 at the frozen
@@ -134,14 +125,18 @@ def hypothesis_centrode_gradient(model: modal.ModalModel, s_c: float,
     (the end-of-arc terms of P and rot90(v)/omega cancel) leaves
       dc/ds_c = t(th_off) + k_off rot90(c - P0) - rot90(v) domega/omega^2,
       domega/ds_c = -qdot d2theta/(ds dq)(ell, q),
-    so the kernel's one field evaluation serves both.  P0 and th_off are
-    the frozen base pose, whose derivative is taken as the exact t(th_off).
+    so the kernel's pass serves both, and k_off and d2theta/(ds dq) come
+    from one more field read on the rows {s_c, ell} / L.  P0 and th_off
+    are the frozen base pose, whose derivative is taken as the exact
+    t(th_off).
     """
     contact, qdot, k = pinned_ramp(model, s_c, q)
     c = instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
-    s_c, base = contact.s_c, contact.base_pose_c
-    k_off = modal.dtheta_ds(model, s_c, contact.q_c)
-    d_omega = -qdot * modal.d2theta_dsdq_grid(model, model.L - s_c, q)[0]
+    s_c, base, L = contact.s_c, contact.base_pose_c, model.L
+    # q_c = q[0], so the pin's curvature is the first column's first row
+    curv, d2 = modal.ds_grids(model, np.array([s_c, L - s_c]) / L, q)
+    k_off = float(curv[0, 0])
+    d_omega = -qdot * d2[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(c.valid, d_omega / (k.omega * k.omega), np.nan)
     dcx = math.cos(base.theta) - k_off * (c.cz - base.z) + k.vz * rate

@@ -4,7 +4,7 @@ The sensed centrode after contact depends on where the backbone is pinned;
 sweeping a hypothesis s_c through the piecewise model predicts a centrode
 trace per hypothesis.  The estimate minimizes the weighted squared gap
 between sensed and predicted traces over the scalar unknown s_c by
-Levenberg-Marquardt, with a brute-force grid argmin as verification oracle.
+Levenberg-Marquardt.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal
-from .centrode import CentrodeTrace
-from .contact import hypothesis_centrode, hypothesis_centrode_gradient, pinned_ramp
+from .centrode import CentrodeTrace, instant_centers
+from .contact import hypothesis_centrode_gradient, pinned_ramp
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -90,10 +90,11 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float,
     poses and analytic twists along the ramp through the instant-center
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
-    scale-invariant).  Evaluation batches the whole ramp through
-    contact.hypothesis_centrode.
+    scale-invariant; only the validity threshold on omega is not).  The
+    whole ramp is one contact.pinned_ramp pass.
     """
-    return hypothesis_centrode(model, s_c_hyp, _ramp_values(q_traj))
+    _, _, k = pinned_ramp(model, s_c_hyp, _ramp_values(q_traj))
+    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
 
 
 def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
@@ -200,24 +201,6 @@ def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
         "trace": trace,
     }
     return s_c, report
-
-
-def grid_oracle(model: modal.ModalModel, sensed, q_traj, grid,
-                W=None) -> float:
-    """Brute-force argmin of the objective over a grid of s_c values.
-
-    Ties break toward the smaller s_c (grid is scanned in ascending order).
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if len(grid) == 0:
-        raise ValueError("empty grid")
-    sensed = _sensed_arrays(sensed)
-    best_s, best_obj = None, np.inf
-    for s_c in grid:
-        obj = centrode_objective(model, float(s_c), q_traj, sensed, W=W)
-        if obj < best_obj:
-            best_s, best_obj = float(s_c), obj
-    return best_s
 
 
 def speed_weights(sensed) -> np.ndarray:

@@ -5,8 +5,9 @@ with monomial bases psi = (1, s, ..., s^(v-1)) in arc length and
 eta = (1, q, ..., q^(w-1)) in pressure.  Coefficients are stored against the
 normalized arc coordinate s/L, which keeps the arc-length Vandermonde well
 conditioned when L is hundreds of length units; evaluation accepts
-unnormalized arc length.  Every evaluation is a grid of arc rows times A
-times pressure columns; the one-pressure reads take its single column.
+unnormalized arc length.  Every read goes through one evaluator: a grid
+of arc rows times A times pressure columns.  The one-pressure reads take
+its single column.
 """
 
 import json
@@ -56,8 +57,11 @@ class ModalModel:
             raise ValueError("A must be a v-by-w matrix")
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
             raise ValueError("basis orders v, w must be >= 1")
-        if not (self.L > 0):
-            raise ValueError("arc length L must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"arc length L must be positive and finite, "
+                             f"got {self.L}")
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("coefficients A must be finite")
         if not (np.isfinite(self.unit_scale) and self.unit_scale > 0):
             raise ValueError(f"unit_scale must be positive and finite, "
                              f"got {self.unit_scale}")
@@ -125,11 +129,20 @@ def _deta_dq_cols(q: np.ndarray, w: int) -> np.ndarray:
     return D
 
 
-def _grid(model: ModalModel, s, q, s_rows, q_cols) -> np.ndarray:
-    """Arc rows at s times A times pressure columns at q; shape (len(s), len(q))."""
-    s = model._check_s(np.atleast_1d(s))
-    return (s_rows(s / model.L, model.v) @ model.A
-            @ q_cols(np.asarray(q, dtype=float), model.w))
+def _field(rows: np.ndarray, A: np.ndarray, q,
+           cols=(_eta_cols, _deta_dq_cols)) -> tuple:
+    """The field's one evaluator: arc rows (n, v) times the coefficients A
+    times the pressure columns each builder in cols makes at the pressures
+    q (by default eta and deta/dq).  One (n, len(q)) array per builder;
+    the rows are not range-checked here."""
+    q = np.asarray(q, dtype=float)
+    B = rows @ A
+    return tuple(B @ col(q, A.shape[1]) for col in cols)
+
+
+def _checked_rows(model: ModalModel, s) -> np.ndarray:
+    """psi rows at the arc samples s, each range-checked against [0, L]."""
+    return _psi_rows(model._check_s(np.atleast_1d(s)) / model.L, model.v)
 
 
 def arc_grids(model: ModalModel, ell: float, xi, q):
@@ -145,28 +158,23 @@ def arc_grids(model: ModalModel, ell: float, xi, q):
     if not -_S_TOL * L <= ell <= L + _S_TOL * L:
         raise ValueError(f"arc length outside [0, {L}]")
     ell = min(max(ell, 0.0), L)
-    q = np.asarray(q, dtype=float)
-    B = _psi_rows(xi, model.v) @ (
-        np.power(ell / L, np.arange(model.v))[:, None] * model.A)
-    return B @ _eta_cols(q, model.w), B @ _deta_dq_cols(q, model.w)
+    A = np.power(ell / L, np.arange(model.v))[:, None] * model.A
+    return _field(_psi_rows(xi, model.v), A, q)
+
+
+def ds_grids(model: ModalModel, s_hat, q):
+    """dtheta/ds and d2theta/(ds dq) on the outer grid of the normalized
+    arc rows s_hat x the pressures q; two arrays of shape
+    (len(s_hat), len(q)).  The rows are not range-checked: the caller
+    has placed them on [0, 1]."""
+    return tuple(g / model.L
+                 for g in _field(_dpsi_rows(s_hat, model.v), model.A, q))
 
 
 def theta_grid(model: ModalModel, s, q) -> np.ndarray:
-    """Tangent angles on the outer grid of arc samples x pressure samples.
-
-    Returns shape (len(s), len(q)); used by the batched simulation paths.
-    """
-    return _grid(model, s, q, _psi_rows, _eta_cols)
-
-
-def dtheta_dq_grid(model: ModalModel, s, q) -> np.ndarray:
-    """Pressure sensitivities on the outer grid; shape (len(s), len(q))."""
-    return _grid(model, s, q, _psi_rows, _deta_dq_cols)
-
-
-def d2theta_dsdq_grid(model: ModalModel, s, q) -> np.ndarray:
-    """Mixed arc/pressure derivatives on the outer grid; shape (len(s), len(q))."""
-    return _grid(model, s, q, _dpsi_rows, _deta_dq_cols) / model.L
+    """Tangent angles on the outer grid of arc samples x pressure samples;
+    shape (len(s), len(q))."""
+    return _field(_checked_rows(model, s), model.A, q, (_eta_cols,))[0]
 
 
 def _column(grid: np.ndarray, s):
@@ -178,17 +186,14 @@ def _column(grid: np.ndarray, s):
 def theta(model: ModalModel, s, q):
     """Tangent angle psi(s)^T A eta(q), radians, at one pressure.  s may be
     an array."""
-    return _column(theta_grid(model, s, [q]), s)
+    return _column(_field(_checked_rows(model, s), model.A, [q],
+                          (_eta_cols,))[0], s)
 
 
 def dtheta_dq(model: ModalModel, s, q):
     """Pressure sensitivity psi(s)^T A deta_dq(q) at one pressure."""
-    return _column(dtheta_dq_grid(model, s, [q]), s)
-
-
-def dtheta_ds(model: ModalModel, s, q):
-    """Arc-length derivative of the tangent field (the curvature)."""
-    return _column(_grid(model, s, [q], _dpsi_rows, _eta_cols) / model.L, s)
+    return _column(_field(_checked_rows(model, s), model.A, [q],
+                          (_deta_dq_cols,))[0], s)
 
 
 def in_calibrated_range(model: ModalModel, q) -> bool:

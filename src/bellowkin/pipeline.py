@@ -12,7 +12,8 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
-from .contact import freeze, hypothesis_centrode
+from .contact import freeze
+from .estimation import predicted_centrode
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 
 # the ramp kernel holds three (field rows x samples) float arrays at a
@@ -165,7 +166,7 @@ def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
     for s_c in map(float, s_values):
         index = 0.0
         if s_c != 0.0:
-            pinned = hypothesis_centrode(model, s_c, q)
+            pinned = predicted_centrode(model, s_c, q)
             both = free.valid & pinned.valid
             dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
             index = float(np.max(dist[both], initial=0.0))

@@ -22,6 +22,7 @@ from .quadrature import cumulative_stations
 TRUE_LENGTH = 500.0  # px
 REFERENCE_PRESSURES = (0.0, 6.0, 10.0, 15.0, 21.0)
 POINTS_PER_BACKBONE = 10
+_REFINE = 20  # integration stations per marker interval
 
 # Polynomial part of the ground truth (tip reaches ~2.2 rad at 21 Psi) plus
 # the non-modal bump: full-period sine whose peak migrates toward the tip
@@ -35,49 +36,29 @@ _BUMP_WARP = 0.6
 _BUMP_POWER = 2.0
 
 
-def true_tangent(s, q, L: float = TRUE_LENGTH, bump: float = BUMP_AMPLITUDE):
+def true_tangent(s, q):
     """Ground-truth tangent angle; clamped base (zero at s = 0)."""
-    s_hat = np.asarray(s, dtype=float) / L
+    s_hat = np.asarray(s, dtype=float) / TRUE_LENGTH
     poly = q * (_C_S1 * s_hat + _C_S2 * s_hat**2) + q**2 * (_C_SQ * s_hat)
     warp = 1.0 + _BUMP_WARP * q / 21.0
     profile = np.sin(2.0 * np.pi * np.power(np.clip(s_hat, 0.0, 1.0), warp))
-    return poly + bump * (q / 21.0) ** _BUMP_POWER * profile
+    return poly + BUMP_AMPLITUDE * (q / 21.0) ** _BUMP_POWER * profile
 
 
-def backbone_points(q, n_points: int = POINTS_PER_BACKBONE, L: float = TRUE_LENGTH,
-                    bump: float = BUMP_AMPLITUDE, refine: int = 20) -> np.ndarray:
+def backbone_points(q, n_points: int = POINTS_PER_BACKBONE) -> np.ndarray:
     """Marker positions at equally spaced arc stations under pressure q."""
     if n_points < 2:
         raise ValueError("need at least 2 markers")
-    dense = np.linspace(0.0, L, (n_points - 1) * refine + 1)
-    pos = cumulative_stations(lambda s: true_tangent(s, q, L=L, bump=bump), dense)
-    return pos[::refine].copy()
+    dense = np.linspace(0.0, TRUE_LENGTH, (n_points - 1) * _REFINE + 1)
+    pos = cumulative_stations(lambda s: true_tangent(s, q), dense)
+    return pos[::_REFINE].copy()
 
 
-def make_reference_dataset(pressures=REFERENCE_PRESSURES,
-                           n_points: int = POINTS_PER_BACKBONE,
-                           L: float = TRUE_LENGTH,
-                           bump: float = BUMP_AMPLITUDE) -> CalibrationDataset:
-    """Annotation-style dataset: marker points per pressure, tangents derived."""
-    points = [backbone_points(q, n_points=n_points, L=L, bump=bump) for q in pressures]
-    return CalibrationDataset.from_points(pressures, points)
-
-
-def dataset_from_model(model, s_samples, pressures) -> CalibrationDataset:
-    """Noise-free dataset sampled exactly from a modal model.
-
-    Tangent samples are exact model evaluations (no extraction error), for
-    coefficient round-trip checks; points are the integrated stations.
-    """
-    from .modal import theta
-
-    s_samples = np.asarray(s_samples, dtype=float)
-    pressures = np.asarray(pressures, dtype=float)
-    th = np.column_stack([theta(model, s_samples, q) for q in pressures])
-    points = [cumulative_stations(lambda s: theta(model, s, q), s_samples)
-              for q in pressures]
-    return CalibrationDataset(pressures=pressures, points=points,
-                              s_samples=s_samples, theta=th)
+def make_reference_dataset(n_points: int = POINTS_PER_BACKBONE) -> CalibrationDataset:
+    """Annotation-style dataset: marker points per reference pressure,
+    tangents derived."""
+    points = [backbone_points(q, n_points=n_points) for q in REFERENCE_PRESSURES]
+    return CalibrationDataset.from_points(REFERENCE_PRESSURES, points)
 
 
 def write_calibration_csv(dataset: CalibrationDataset, path):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from bellowkin.contact import hypothesis_centrode
+from bellowkin.estimation import predicted_centrode
 
 
 def fd_centrode_gradient(model, s_c_hyp, q, h_s=None):
@@ -24,8 +24,8 @@ def fd_centrode_gradient(model, s_c_hyp, q, h_s=None):
         else:
             lo, hi = s_c_hyp - h_s, s_c_hyp
     q = np.asarray(q, dtype=float)
-    c_lo = hypothesis_centrode(model, lo, q)
-    c_hi = hypothesis_centrode(model, hi, q)
+    c_lo = predicted_centrode(model, lo, q)
+    c_hi = predicted_centrode(model, hi, q)
     grad = np.column_stack(((c_hi.cx - c_lo.cx) / (hi - lo),
                             (c_hi.cz - c_lo.cz) / (hi - lo)))
     grad[~(c_lo.valid & c_hi.valid)] = np.nan

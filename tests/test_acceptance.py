@@ -21,7 +21,7 @@ from bellowkin.centrode import (
     instant_centers,
 )
 from bellowkin.cli import main as cli_main
-from bellowkin.estimation import EstimationProblem, estimate_contact, grid_oracle
+from bellowkin.estimation import EstimationProblem, estimate_contact
 from bellowkin.kinematics import (
     PlanarPose,
     jacobian,
@@ -32,8 +32,9 @@ from bellowkin.kinematics import (
 )
 from bellowkin.modal import ModalModel
 from bellowkin.pipeline import PressureRamp, simulate_contact, sweep
-from bellowkin.synthetic import dataset_from_model
+from tests.calibration_reference import dataset_from_model
 from tests.conftest import DATA_CSV, make_random_model
+from tests.estimation_reference import grid_oracle
 from tests.kinematics_reference import cc_pose
 
 RAMP = PressureRamp(5.0, 20.0, 0.05)

@@ -9,7 +9,8 @@ from bellowkin.calibration import (
     load_calibration_csv,
     tangents_from_points,
 )
-from bellowkin.synthetic import dataset_from_model, make_reference_dataset
+from bellowkin.synthetic import make_reference_dataset
+from tests.calibration_reference import dataset_from_model
 from tests.conftest import make_random_model
 
 

@@ -472,6 +472,31 @@ def test_missing_model_file_exit_1(tmp_path):
                 "--ramp", "5:6:0.05", "--out-dir", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("A", float("nan"), "coefficients A must be finite"),
+    ("A", float("inf"), "coefficients A must be finite"),
+    ("L", float("inf"), "arc length L must be positive and finite"),
+], ids=["nan_coefficient", "inf_coefficient", "inf_length"])
+@pytest.mark.parametrize("stage", ["simulate", "sweep"])
+def test_non_finite_model_exit_1(workdir, tmp_path, capsys, stage, key, value,
+                                 message):
+    # json writes NaN and Infinity, and json.loads reads them back as floats
+    doc = json.load(open(workdir["model"]))
+    if key == "A":
+        doc["A"][4] = value
+    else:
+        doc[key] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    argv = stage_argv(workdir, stage, tmp_path / "out")
+    argv[argv.index("--model") + 1] = str(bad)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_closure(workdir, tmp_path):
     # simulate -> detect -> estimate recovers a mid-span truth within 1 LU
     truth = 330.0

@@ -7,12 +7,12 @@ from bellowkin.estimation import (
     EstimationProblem,
     centrode_objective,
     estimate_contact,
-    grid_oracle,
     predicted_centrode,
     speed_weights,
 )
 from bellowkin.pipeline import PressureRamp, simulate_contact
 from tests.conftest import make_random_model
+from tests.estimation_reference import grid_oracle
 from tests.finite_difference import fd_centrode_gradient
 from tests.kinematics_reference import (contact_tip_pose, contact_tip_twist,
                                         fixed_centrode)

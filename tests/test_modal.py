@@ -11,6 +11,7 @@ from bellowkin.modal import (
     _deta_dq_cols,
     _eta_cols,
     _psi_rows,
+    ds_grids,
     dtheta_dq,
     in_calibrated_range,
     theta,
@@ -85,6 +86,34 @@ def test_dtheta_dq_matches_finite_difference(reference_model):
                   - theta(reference_model, s, q - h)) / (2 * h)
             an = dtheta_dq(reference_model, s, q)
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+def test_ds_grids_match_arc_differences(reference_model):
+    # d theta/ds and d2 theta/(ds dq) on normalized rows, against central
+    # differences in s of theta and dtheta/dq
+    m, h = reference_model, 1e-3
+    s = np.array([1.0, 125.0, 333.0, 499.0])
+    q = np.array([2.0, 10.0, 19.0])
+    curv, mixed = ds_grids(m, s / m.L, q)
+    assert curv.shape == mixed.shape == (s.size, q.size)
+    for j, qj in enumerate(q):
+        fd = (theta(m, s + h, qj) - theta(m, s - h, qj)) / (2 * h)
+        assert np.allclose(curv[:, j], fd, rtol=1e-7, atol=1e-12)
+        fd = (dtheta_dq(m, s + h, qj) - dtheta_dq(m, s - h, qj)) / (2 * h)
+        assert np.allclose(mixed[:, j], fd, rtol=1e-7, atol=1e-12)
+
+
+@pytest.mark.parametrize("A, L", [
+    ([[0.0, np.nan]], 500.0), ([[np.inf, 0.0]], 500.0), ([[0.0]], np.inf),
+    ([[0.0]], np.nan), ([[0.0]], -1.0)])
+def test_non_finite_model_rejected(A, L):
+    with pytest.raises(ValueError, match="must be"):
+        ModalModel(A=np.asarray(A), L=L)
+
+
+def test_from_raw_rejects_infinite_length():
+    with pytest.raises(ValueError, match="arc length L"):
+        ModalModel.from_raw(np.ones((2, 2)), L=np.inf)
 
 
 @given(x=st.floats(-5, 5), order=st.integers(1, 6))

@@ -8,8 +8,9 @@ import pytest
 from bellowkin import modal, pipeline
 from bellowkin.calibration import fit_modal
 from bellowkin.centrode import instant_centers
-from bellowkin.contact import (ContactState, freeze, hypothesis_centrode,
+from bellowkin.contact import (ContactState, freeze,
                                hypothesis_centrode_gradient, pinned_ramp)
+from bellowkin.estimation import predicted_centrode
 from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
                                   wrap_angles)
 from bellowkin.modal import ModalModel
@@ -137,6 +138,33 @@ def test_kernel_checks_only_the_arc_length(reference_model, monkeypatch):
     assert laid_out == []
 
 
+def test_gradient_reads_the_field_once_beyond_its_pin(reference_model,
+                                                    monkeypatch):
+    # the pin's curvature and the arc end's d2theta/(ds dq) are one field
+    # read on top of pinned_ramp's two arc passes (pin and kernel), and
+    # none of the three range-checks an arc sample
+    reads, checked = [], []
+    field, check_s = modal._field, modal.ModalModel._check_s
+
+    def counting_field(*args, **kwargs):
+        reads.append(1)
+        return field(*args, **kwargs)
+
+    def counting_check(self, s):
+        checked.append(np.size(s))
+        return check_s(self, s)
+
+    monkeypatch.setattr(modal, "_field", counting_field)
+    monkeypatch.setattr(modal.ModalModel, "_check_s", counting_check)
+    q = PressureRamp(5.0, 20.0, 0.05).values
+    pinned_ramp(reference_model, 100.0, q)
+    assert len(reads) == 2
+    reads.clear()
+    hypothesis_centrode_gradient(reference_model, 100.0, q)
+    assert len(reads) == 3
+    assert checked == []
+
+
 def arc_end(x0, z0, phi0, kappa, ell):
     """End pose of a circular arc of length ell and curvature kappa that
     starts at (x0, z0) with tangent angle phi0; kappa = 0 is the segment."""
@@ -206,7 +234,7 @@ def test_gradient_kernel_centrode_is_hypothesis_centrode(reference_model, n):
              (omega_zero_model(), 10.0 + 0.01 * (np.arange(n) - n // 2), 150.0)]
     for model, q, s_c in cases:
         grad = hypothesis_centrode_gradient(model, s_c, q)
-        ref = hypothesis_centrode(model, s_c, q)
+        ref = predicted_centrode(model, s_c, q)
         assert np.array_equal(grad.valid, ref.valid)
         assert np.array_equal(grad.cx, ref.cx, equal_nan=True)
         assert np.array_equal(grad.cz, ref.cz, equal_nan=True)
