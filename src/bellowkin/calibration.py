@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import read_table
-from .modal import DEFAULT_UNIT_SCALE, ModalModel, _eta_cols, _psi_rows, theta
-from .quadrature import cumulative_stations
+from .modal import (DEFAULT_UNIT_SCALE, ModalModel, _eta_cols, _psi_rows,
+                    theta_grid)
+from .quadrature import XI, XI_W
 
 BASE_ANGLE_TOL = 0.01  # rad; calibrated base tangent beyond this gets flagged
 
@@ -23,24 +24,13 @@ class RankDeficientError(ValueError):
     """Design matrices do not resolve every basis direction."""
 
 
-def _quadratic_tangent(s3, x3, z3, t):
-    # derivative of the Lagrange quadratic through three samples, at t
-    s0, s1, s2 = s3
-    c0 = (2 * t - s1 - s2) / ((s0 - s1) * (s0 - s2))
-    c1 = (2 * t - s0 - s2) / ((s1 - s0) * (s1 - s2))
-    c2 = (2 * t - s0 - s1) / ((s2 - s0) * (s2 - s1))
-    dx = c0 * x3[0] + c1 * x3[1] + c2 * x3[2]
-    dz = c0 * z3[0] + c1 * z3[1] + c2 * z3[2]
-    return np.arctan2(dz, dx)
-
-
 def tangents_from_points(points):
     """Arc-length samples and tangent angles along one annotated backbone.
 
     Arc length is cumulative chord length from the base point.  The tangent
-    angle at each station comes from a local quadratic through the station
-    and its neighbors (one-sided at the endpoints); the base angle is
-    reported as measured, not forced to zero.
+    angle at each station is the derivative of the Lagrange quadratic
+    through the station and its neighbors (one-sided at the endpoints);
+    the base angle is reported as measured, not forced to zero.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -53,12 +43,14 @@ def tangents_from_points(points):
         raise ValueError("duplicate consecutive backbone points")
     s = np.concatenate([[0.0], np.cumsum(seg)])
 
-    th = np.empty(n)
-    for i in range(n):
-        j = min(max(i - 1, 0), n - 3)  # window start; one-sided at the ends
-        idx = (j, j + 1, j + 2)
-        th[i] = _quadratic_tangent(s[list(idx)], pts[list(idx), 0], pts[list(idx), 1], s[i])
-    return s, th
+    # window start per station; one-sided at the ends
+    j = np.clip(np.arange(n) - 1, 0, n - 3)
+    s0, s1, s2 = s[j], s[j + 1], s[j + 2]
+    c0 = (2 * s - s1 - s2) / ((s0 - s1) * (s0 - s2))
+    c1 = (2 * s - s0 - s2) / ((s1 - s0) * (s1 - s2))
+    c2 = (2 * s - s0 - s1) / ((s2 - s0) * (s2 - s1))
+    d = c0[:, None] * pts[j] + c1[:, None] * pts[j + 1] + c2[:, None] * pts[j + 2]
+    return s, np.arctan2(d[:, 1], d[:, 0])
 
 
 def build_design_matrices(s_samples, q_samples, v: int, w: int):
@@ -116,17 +108,10 @@ class CalibrationDataset:
         counts = {len(p) for p in points_per_pressure}
         if len(counts) != 1:
             raise ValueError(f"inconsistent point counts across pressures: {sorted(counts)}")
-        s_grid = None
-        cols = []
-        pts_list = []
-        for pts in points_per_pressure:
-            s, th = tangents_from_points(pts)
-            if s_grid is None:
-                s_grid = s
-            cols.append(th)
-            pts_list.append(np.asarray(pts, dtype=float))
-        return cls(pressures=pressures, points=pts_list,
-                   s_samples=s_grid, theta=np.column_stack(cols))
+        pts_list = [np.asarray(pts, dtype=float) for pts in points_per_pressure]
+        fits = [tangents_from_points(pts) for pts in pts_list]
+        return cls(pressures=pressures, points=pts_list, s_samples=fits[0][0],
+                   theta=np.column_stack([th for _, th in fits]))
 
 
 def load_calibration_csv(path) -> CalibrationDataset:
@@ -204,7 +189,8 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
     (Gamma^T kron Omega) vec(A) = vec(theta) by an SVD-based least-squares
     solve whose numerical rank is checked, with arc length normalized to s/L
     for conditioning.
-    Returns the fitted model and a residual report.
+    Returns the fitted model and a residual report, whose marker positions
+    integrate the fitted field on the arc rule, a panel per marker interval.
     """
     g, z = dataset.theta.shape
     if g * z < v * w:
@@ -229,21 +215,27 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
 
     conditioning = float(np.linalg.cond(omega) * np.linalg.cond(gamma))
     theta_hat = omega @ A @ gamma
-    per_pressure = []
-    warnings_q = []
-    for j, q in enumerate(dataset.pressures):
-        max_theta = float(np.max(np.abs(theta_hat[:, j] - dataset.theta[:, j])))
-        pos = cumulative_stations(lambda s: theta(model, s, q), dataset.s_samples)
-        ref = dataset.points[j] - dataset.points[j][0]  # both curves start at the base
-        err = np.linalg.norm(pos - ref, axis=1)
-        per_pressure.append({
-            "q": float(q),
-            "max_theta_err_rad": max_theta,
-            "max_tip_err_mm": float(err[-1] * model.unit_scale),
-            "max_point_err_mm": float(np.max(err) * model.unit_scale),
-        })
-        if abs(theta(model, 0.0, q)) > BASE_ANGLE_TOL:
-            warnings_q.append(float(q))
+    max_theta = np.max(np.abs(theta_hat - dataset.theta), axis=0)
+    # one field read on the arc rule: the base, then the nodes of every
+    # marker interval; positions (g x 2 x pressures) accumulate from the base
+    s, h = dataset.s_samples, np.diff(dataset.s_samples)
+    rows = np.concatenate(([0.0], (s[:-1, None] + h[:, None] * XI).ravel()))
+    th = theta_grid(model, rows, dataset.pressures)
+    arc = th[1:].reshape(h.size, XI.size, z)
+    wts = (h[:, None] * XI_W)[..., None]  # h_k w_i per interval and node
+    steps = np.stack([(wts * f(arc)).sum(axis=1) for f in (np.cos, np.sin)], 1)
+    pos = np.concatenate((np.zeros((1, 2, z)), np.cumsum(steps, axis=0)))
+    ref = np.stack(dataset.points, axis=2)
+    ref = ref - ref[:1]  # both curves start at the base
+    err = np.linalg.norm(pos - ref, axis=1) * model.unit_scale
+    per_pressure = [{
+        "q": float(q),
+        "max_theta_err_rad": float(max_theta[j]),
+        "max_tip_err_mm": float(err[-1, j]),
+        "max_point_err_mm": float(np.max(err[:, j])),
+    } for j, q in enumerate(dataset.pressures)]
+    warnings_q = [float(q) for q in
+                  dataset.pressures[np.abs(th[0]) > BASE_ANGLE_TOL]]
     report = FitReport(per_pressure=per_pressure, conditioning=conditioning,
                        base_angle_warnings=warnings_q)
     return model, report

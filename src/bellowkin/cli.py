@@ -30,6 +30,11 @@ EXIT_IO = 1
 EXIT_RANK = 2
 EXIT_NOCONV = 3
 
+# sensed samples at an estimate window's start left out of the fit: the tip
+# jumps at onset, so samples differenced across it are wrong.  Three is the
+# stencil's half-width (1) plus detection's largest early lag (2 samples)
+ONSET_GUARD = 3
+
 
 def _load_model(path) -> ModalModel:
     with open(path) as f:
@@ -148,9 +153,12 @@ def cmd_estimate(args) -> int:
             raise ValueError("detection result reports no contact")
         onset = _row_of_t(stream, int(doc["onset_t"]), "detected onset_t")
     sub = stream.rows(slice(onset, None))
-    if sub.t.size < 3:
-        raise ValueError("post-onset stream too short (need >= 3)")
+    if sub.t.size < ONSET_GUARD + 1:
+        raise ValueError(f"post-onset stream too short (need >= {ONSET_GUARD + 1})")
     sensed = ct.centrode_from_stream(sub)
+    # out of the fit; the pin still starts at the window's first pressure
+    sensed.valid[:ONSET_GUARD] = False
+    sensed.cx[:ONSET_GUARD] = sensed.cz[:ONSET_GUARD] = np.nan
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     W = est.speed_weights(sensed) if args.speed_weights else None
     problem = est.EstimationProblem(

@@ -18,15 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modal
-from .quadrature import panel_nodes
+from .quadrature import DEFAULT_PANELS, XI, XI_W  # DEFAULT_PANELS: re-exported
 
-DEFAULT_PANELS = 1
 _Q_TOL = 1e-12
 
-# the arc rule on [0, 1]; the field rows of an arc are its base, its end
-# and its nodes, and an arc [0, ell] scales the nodes and weights by ell
-_XI, _XI_W = panel_nodes(0.0, 1.0, DEFAULT_PANELS)
-_ARC_ROWS = np.concatenate(([0.0, 1.0], _XI))
+# the field rows of an arc [0, ell] on the arc rule: its base, its end
+# and its nodes, on [0, 1]
+_ARC_ROWS = np.concatenate(([0.0, 1.0], XI))
 
 
 def wrap_angle(a: float) -> float:
@@ -82,7 +80,7 @@ def arc_field(model: modal.ModalModel, ell: float, q):
     rule: theta and dtheta/dq at the rows (0, ell, nodes...), each of
     shape (2 + nodes, len(q)), and the weights of the nodes."""
     th, g = modal.arc_grids(model, ell, _ARC_ROWS, q)
-    return th, g, ell * _XI_W
+    return th, g, ell * XI_W
 
 
 class RampKinematics(NamedTuple):

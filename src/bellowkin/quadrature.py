@@ -1,27 +1,29 @@
-"""Deterministic Gauss-Legendre quadrature: the arc rule and the station rule.
+"""Deterministic Gauss-Legendre quadrature: the package's one arc rule.
 
-The arc rule integrates over a whole arc [0, ell]: the tip pose and twist
-of kinematics.ramp_kinematics and the pin's base pose in
-contact.station_pose.  It is one 24-point Gauss-Legendre panel (exact for
-polynomials up to degree 47); the tangent field is analytic in arc length,
-so one panel integrates it to round-off.  panel_nodes lays it out on
-[a, b], as a composite of n_panels panels; the kernel takes its reference
-nodes on [0, 1] once, and an arc [0, ell] scales nodes and weights by ell.
-Quantities differentiated under the integral sign (the twists) use the
-same nodes, so they stay the exact derivatives of the integrals they
-derive from.
-
-The station rule, cumulative_stations, integrates between consecutive
-marker stations with one 5-point panel per interval (calibration and the
-synthetic ground truth).
+The arc rule integrates the model's field over an arc: the tip pose and
+twist of kinematics.ramp_kinematics, the pin's base pose in
+contact.station_pose, and the marker positions calibration.fit_modal
+checks its fit against.  It is one 24-point Gauss-Legendre panel (exact
+for polynomials up to degree 47); the tangent field is analytic in arc
+length, so one panel integrates it to round-off.  XI and XI_W are the
+rule on [0, 1]; an arc [a, a + h] shifts the nodes by a and scales nodes
+and weights by h.  panel_nodes lays it out on [a, b] in n_panels panels.
 """
 
 import numpy as np
 
-# the arc rule on [-1, 1]
-_ARC_X, _ARC_W = np.polynomial.legendre.leggauss(24)
-# the station rule on [-1, 1]; exact for polynomials up to degree 9
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+# the arc rule on [-1, 1] from its upper half, as leggauss(24) gives it: a
+# numpy.polynomial import would cost every process about 0.7 MB and 4 ms
+_X = [0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+      0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+      0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213]
+_W = [0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+      0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+      0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869]
+_ARC_X = np.concatenate((np.negative(_X[::-1]), _X))
+_ARC_W = np.array(_W[::-1] + _W)
+
+DEFAULT_PANELS = 1  # panels of the arc rule; it is not a parameter
 
 
 def panel_nodes(a: float, b: float, n_panels: int):
@@ -39,27 +41,4 @@ def panel_nodes(a: float, b: float, n_panels: int):
     return nodes, weights
 
 
-def cumulative_stations(theta_fn, stations):
-    """Planar positions at the given arc stations from a tangent-angle field.
-
-    Integrates (cos theta, sin theta) with one 5-point panel per interval
-    between consecutive stations, accumulating from the first station, which
-    is taken as the origin.  Returns an array of shape (len(stations), 2).
-    """
-    stations = np.asarray(stations, dtype=float)
-    if stations.size < 1:
-        raise ValueError("need at least one station")
-    pos = np.zeros((stations.size, 2))
-    if stations.size == 1:
-        return pos
-    a = stations[:-1]
-    b = stations[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    th = theta_fn(nodes.ravel()).reshape(nodes.shape)
-    wx = (np.cos(th) * _GL_W[None, :]).sum(axis=1) * half
-    wz = (np.sin(th) * _GL_W[None, :]).sum(axis=1) * half
-    pos[1:, 0] = np.cumsum(wx)
-    pos[1:, 1] = np.cumsum(wz)
-    return pos
+XI, XI_W = panel_nodes(0.0, 1.0, DEFAULT_PANELS)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .calibration import CalibrationDataset
 from .io import write_csv
-from .quadrature import cumulative_stations
 
 TRUE_LENGTH = 500.0  # px
 REFERENCE_PRESSURES = (0.0, 6.0, 10.0, 15.0, 21.0)
@@ -34,6 +33,30 @@ _C_SQ = 0.0012
 BUMP_AMPLITUDE = 0.1
 _BUMP_WARP = 0.6
 _BUMP_POWER = 2.0
+
+
+# the truth's station rule on [-1, 1], one panel per interval: a rule of its
+# own, not the model's arc rule; leggauss(5), written out as quadrature's is
+_GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                  0.5384693101056831, 0.906179845938664])
+_GL_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                  0.4786286704993663, 0.23692688505618928])
+
+
+def cumulative_stations(theta_fn, stations):
+    """Planar positions at the given arc stations from a tangent-angle field.
+
+    Integrates (cos theta, sin theta) with one 5-point panel per interval
+    between consecutive stations, accumulating from the first station, which
+    is taken as the origin.  Returns an array of shape (len(stations), 2).
+    """
+    stations = np.asarray(stations, dtype=float)
+    mid = 0.5 * (stations[:-1] + stations[1:])
+    half = 0.5 * (stations[1:] - stations[:-1])
+    th = theta_fn((mid[:, None] + half[:, None] * _GL_X).ravel()).reshape(-1, 5)
+    steps = np.column_stack(((np.cos(th) * _GL_W).sum(axis=1) * half,
+                             (np.sin(th) * _GL_W).sum(axis=1) * half))
+    return np.vstack((np.zeros((1, 2)), np.cumsum(steps, axis=0)))
 
 
 def true_tangent(s, q):

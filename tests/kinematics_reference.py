@@ -19,7 +19,7 @@ from bellowkin import modal
 from bellowkin.centrode import EPS_OMEGA
 from bellowkin.contact import ContactState
 from bellowkin.kinematics import PlanarPose, _check_q, _warn_extrapolation
-from bellowkin.quadrature import cumulative_stations
+from bellowkin.synthetic import cumulative_stations
 
 REFERENCE_PANELS = 20
 

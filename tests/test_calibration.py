@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellowkin import modal
 from bellowkin.calibration import (
     CalibrationDataset,
     RankDeficientError,
@@ -9,8 +14,8 @@ from bellowkin.calibration import (
     load_calibration_csv,
     tangents_from_points,
 )
-from bellowkin.synthetic import make_reference_dataset
-from tests.calibration_reference import dataset_from_model
+from bellowkin.synthetic import cumulative_stations, make_reference_dataset
+from tests.calibration_reference import dataset_from_model, tangents_loop
 from tests.conftest import make_random_model
 
 
@@ -41,6 +46,22 @@ def test_tangents_rejects_degenerate_input():
         tangents_from_points([(0, 0), (1, 0)])
     with pytest.raises(ValueError):
         tangents_from_points([(0, 0), (1, 0), (1, 0), (2, 0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       st.lists(st.tuples(st.floats(1e-3, 100.0), st.floats(-np.pi, np.pi)),
+                min_size=2, max_size=40))
+def test_tangents_match_the_scalar_loop(base, steps):
+    # the array expression is the per-station Lagrange loop, bit for bit,
+    # on marker sets of any spacing and heading
+    length, heading = np.asarray(steps).T
+    points = np.cumsum(np.vstack([base, np.column_stack(
+        (length * np.cos(heading), length * np.sin(heading)))]), axis=0)
+    s, th = tangents_from_points(points)
+    s_ref, th_ref = tangents_loop(points)
+    np.testing.assert_array_equal(s, s_ref)
+    np.testing.assert_array_equal(th, th_ref)
 
 
 def test_design_matrix_structure():
@@ -185,3 +206,39 @@ def test_reference_dataset_matches_shipped_csv(reference_dataset):
     assert np.allclose(regen.pressures, reference_dataset.pressures)
     assert np.allclose(regen.s_samples, reference_dataset.s_samples, atol=1e-9)
     assert np.allclose(regen.theta, reference_dataset.theta, atol=1e-9)
+
+
+def test_fit_reads_the_field_once(monkeypatch, reference_dataset):
+    # the report's marker positions and base angles, at every pressure,
+    # come from one theta_grid read and no scalar or station-rule read
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod_name, module in list(sys.modules.items()):
+        if not mod_name.startswith("bellowkin"):
+            continue
+        for name in ("_field", "theta_grid", "theta", "cumulative_stations"):
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    fit_modal(reference_dataset, v=3, w=3)
+    assert calls == ["theta_grid", "_field"]
+
+
+def test_fit_positions_match_the_station_rule(reference_fit, reference_dataset):
+    # the arc rule's marker positions agree with the 5-point station rule
+    # to round-off, at every station and pressure
+    model, report = reference_fit
+    for j, q in enumerate(reference_dataset.pressures):
+        pos = cumulative_stations(lambda s: modal.theta(model, s, q),
+                                  reference_dataset.s_samples)
+        ref = reference_dataset.points[j] - reference_dataset.points[j][0]
+        err = np.linalg.norm(pos - ref, axis=1) * model.unit_scale
+        row = report.per_pressure[j]
+        assert abs(row["max_tip_err_mm"] - err[-1]) <= 1e-12
+        assert abs(row["max_point_err_mm"] - np.max(err)) <= 1e-12

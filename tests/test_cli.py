@@ -362,6 +362,17 @@ def test_malformed_stream_exit_1(workdir, tmp_path, capsys, stage, body, message
     assert message in err
 
 
+@pytest.mark.parametrize("onset_t", [298, 300])
+def test_estimate_short_window_exit_1(workdir, tmp_path, capsys, onset_t):
+    # 3- and 1-sample windows: the onset guard leaves no sample to fit
+    stream = os.path.join(workdir["sim"], "pose_stream.csv")
+    assert run(["estimate", "--model", workdir["model"], "--stream", stream,
+                "--onset-t", str(onset_t), "--s0", "200",
+                "--out-dir", str(tmp_path / "est")]) == 1
+    err = capsys.readouterr().err
+    assert err == "estimate: post-onset stream too short (need >= 4)\n"
+
+
 def shift_t(csv_text, offset):
     lines = csv_text.splitlines()
     out = [lines[0]]
@@ -515,6 +526,30 @@ def test_pipeline_closure(workdir, tmp_path):
     assert abs(doc["s_c_est"] - truth) <= 1.0
 
 
+@pytest.mark.parametrize("contact, s0", [
+    ("32.02978889820574@5.186608407843443", 130.53178181423726),
+    ("30.571753421417522@5.2752155235013065", 192.3585797744453),
+    ("30@5.105", 250.0), ("30@5.13", 250.0), ("30@5.16", 250.0),
+    ("30@5.26", 250.0), ("30@5.395", 250.0),
+])
+def test_estimate_skips_samples_differenced_across_the_onset(
+        workdir, tmp_path, contact, s0):
+    # an onset between two samples of a coarse ramp: the samples the
+    # stencil differences across the tip's jump at onset stay out of the
+    # fit, which without the guard misses by 8 to 111 LU here
+    sim, det, est = (str(tmp_path / d) for d in ("sim", "det", "est"))
+    assert run(["simulate", "--model", workdir["model"], "--ramp", "5:20:0.1",
+                "--contact", contact, "--out-dir", sim]) == 0
+    stream = os.path.join(sim, "pose_stream.csv")
+    assert run(["detect", "--model", workdir["model"], "--stream", stream,
+                "--out-dir", det]) == 0
+    assert run(["estimate", "--model", workdir["model"], "--stream", stream,
+                "--detection", os.path.join(det, "detection.json"),
+                "--s0", repr(s0), "--out-dir", est]) == 0
+    doc = json.load(open(os.path.join(est, "estimation.json")))
+    assert abs(doc["s_c_est"] - float(contact.split("@")[0])) <= 0.21
+
+
 def imported_by_cli(*packages):
     """Modules of the given top-level packages loaded by importing the CLI
     in a fresh interpreter."""
@@ -537,3 +572,9 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # the sweep runs in-process; a process pool's import cost every CLI call
     assert imported_by_cli("multiprocessing", "concurrent") == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rules are written out: importing numpy.polynomial
+    # cost every CLI call about 0.7 MB and 4 ms
+    assert "numpy.polynomial" not in imported_by_cli("numpy")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bellowkin.contact import ContactState, contact_tip_pose, freeze
 from bellowkin.kinematics import jacobian, ramp_kinematics, tip_pose, wrap_angle
 from bellowkin.modal import ModalModel, theta
-from bellowkin.quadrature import cumulative_stations
+from bellowkin.synthetic import cumulative_stations
 from tests.conftest import make_random_model
 from tests.kinematics_reference import contact_theta, pose_at
 

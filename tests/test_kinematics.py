@@ -12,7 +12,7 @@ from bellowkin.kinematics import (
     wrap_angle,
 )
 from bellowkin.modal import ModalModel, theta
-from bellowkin.quadrature import cumulative_stations
+from bellowkin.synthetic import cumulative_stations
 from tests.kinematics_reference import cc_pose
 
 

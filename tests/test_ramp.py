@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bellowkin import modal, pipeline
+from bellowkin import modal, pipeline, quadrature, synthetic
 from bellowkin.calibration import fit_modal
 from bellowkin.centrode import instant_centers
 from bellowkin.contact import (ContactState, freeze,
@@ -113,6 +113,16 @@ def test_arc_rule_matches_dense_reference():
                 x20, z20 = composite(REFERENCE_PANELS)
                 bound = max(np.max(np.hypot(x20 - x, z20 - z)), 2e-11)
                 assert err <= bound, (n_points, v, w, ell)
+
+
+def test_written_out_rules_are_gauss_legendre():
+    # the arc rule and the truth's station rule are numpy's Gauss-Legendre
+    # rules, written out so that no import loads numpy.polynomial
+    for x, w in ((quadrature._ARC_X, quadrature._ARC_W),
+                 (synthetic._GL_X, synthetic._GL_W)):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(x.size)
+        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15)
 
 
 def test_kernel_checks_only_the_arc_length(reference_model, monkeypatch):
