@@ -22,7 +22,7 @@ from . import centrode as ct
 from . import estimation as est
 from . import pipeline as pl
 from .calibration import RankDeficientError, fit_modal, load_calibration_csv
-from .io import write_csv, write_json
+from .io import write_columns, write_json
 from .modal import DEFAULT_UNIT_SCALE, ModalModel
 
 EXIT_OK = 0
@@ -173,8 +173,8 @@ def cmd_estimate(args) -> int:
         "end_tip_error_LU": report["end_tip_error_LU"],
         "converged": report["converged"],
     })
-    write_csv(_out(args, "estimate_iters.csv"), ["iter", "s_c", "objective"],
-              report["trace"])
+    write_columns(_out(args, "estimate_iters.csv"), ["iter", "s_c", "objective"],
+                  ["%d", "%.17g", "%.17g"], list(zip(*report["trace"])))
     print(f"s_c_est={s_c_est:.6g} iterations={report['iterations']} "
           f"end_tip_error_LU={report['end_tip_error_LU']:.6g} "
           f"converged={report['converged']}")
@@ -192,7 +192,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--s-values {','.join(f'{s:g}' for s in outside)} "
                          f"outside [0, {model.L:g})")
     rows = pl.sweep(model, ramp, s_values)
-    write_csv(_out(args, "sweep.csv"), ["s_c", "max_isa_diff"], rows)
+    write_columns(_out(args, "sweep.csv"), ["s_c", "max_isa_diff"],
+                  ["%.17g", "%.17g"], list(zip(*rows)))
     for s_c, val in rows:
         print(f"s_c={s_c:g}: max ISA difference {val:.6g}")
     return EXIT_OK

@@ -12,13 +12,10 @@ tangent differs.
 Pressure is assumed non-decreasing after onset; dropping below q_c would
 un-pin the contact, so those queries are rejected.
 
-This module records the frozen state (freeze, station_pose).  The
-contacted tip pose and twist over a ramp come from
-kinematics.ramp_kinematics with the ContactState; contact_tip_pose is its
-single-pressure read.  A contact hypothesis pins at the first pressure of
-a ramp (pinned_ramp); its centrode and the exact derivative of that
-centrode in s_c come from the same kernel pass, and the estimator's
-residual and gradient are built on them.
+freeze records the frozen state; contact_kinematics is the law over a
+ramp, and contact_tip_pose its one-pressure read.  A hypothesis pinned at
+a ramp's first pressure (pinned_ramp) yields the estimator's centrode and
+its exact s_c-derivative from the same pass.
 """
 
 import json
@@ -30,7 +27,9 @@ import numpy as np
 
 from . import modal
 from .centrode import instant_centers
-from .kinematics import PlanarPose, arc_field, ramp_kinematics
+from .kinematics import PlanarPose, RampKinematics, arc_field, arc_kinematics
+
+_Q_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,7 @@ class ContactState:
 def station_pose(model: modal.ModalModel, q_c: float, s_c: float) -> PlanarPose:
     """Pose of the station s_c at pressure q_c: theta(s, q_c) integrated
     over [0, s_c] on the ramp kernel's arc rule, from one field column."""
+    # pose-only sums: arc_kinematics's twist and wrap make freeze 1.5x slower
     th, _, wts = arc_field(model, s_c, [q_c])
     th = th[:, 0]
     return PlanarPose(x=float(wts @ np.cos(th[2:])),
@@ -83,11 +83,35 @@ def freeze(model: modal.ModalModel, q_c: float, s_c: float) -> ContactState:
                         base_pose_c=station_pose(model, q_c, s_c))
 
 
+def _check_q(contact, q: float):
+    # un-pinning (pressure release below onset) invalidates the frozen state
+    if q < contact.q_c - _Q_TOL:
+        raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
+
+
+def contact_kinematics(model: modal.ModalModel, contact: ContactState, q,
+                       qdot=1.0) -> RampKinematics:
+    """Contacted tip poses and twists at every pressure of q (each at or
+    above onset), twists at rate qdot: the distal arc [0, L - s_c] from
+    the frozen base pose, carrying the field
+    theta(u, q) - theta(0, q) + theta(s_c, q_c)."""
+    q = np.asarray(q, dtype=float)
+    if q.size:
+        _check_q(contact, float(q.min()))
+    base = contact.base_pose_c
+    th, g, wts = arc_field(model, model.L - contact.s_c, q)
+    base0 = th[0].copy()
+    th += base.theta
+    th -= base0
+    g -= g[0].copy()
+    return arc_kinematics(th, g, wts, base.x, base.z, qdot)
+
+
 def contact_tip_pose(model: modal.ModalModel, contact: ContactState,
                      q: float) -> PlanarPose:
     """Tip pose of the contacted backbone at pressure q: one sample of
-    kinematics.ramp_kinematics under the contact."""
-    k = ramp_kinematics(model, [q], contact)
+    contact_kinematics."""
+    k = contact_kinematics(model, contact, [q])
     return PlanarPose(x=float(k.x[0]), z=float(k.z[0]), theta=float(k.theta[0]))
 
 
@@ -97,7 +121,7 @@ def pinned_ramp(model: modal.ModalModel, s_c: float, q):
     q = np.asarray(q, dtype=float)
     contact = freeze(model, float(q[0]), s_c)
     qdot = float(q[1] - q[0]) if len(q) > 1 else 1.0
-    return contact, qdot, ramp_kinematics(model, q, contact, qdot)
+    return contact, qdot, contact_kinematics(model, contact, q, qdot)
 
 
 class CentrodeGradient(NamedTuple):

@@ -5,34 +5,14 @@ round-trips bit-exactly and reruns compare byte-identical.
 """
 
 import json
-import math
 
 import numpy as np
 
 
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.17g}"
-    return str(x)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(x) for x in row) + "\n")
-
-
 def write_columns(path, header, formats, columns):
-    """write_csv of equal-length array columns, one row format for all rows.
-
-    formats holds '%d' for integer or boolean columns and '%.17g' for float
-    columns; the text is byte for byte what fmt writes for the same values.
-    """
+    """A CSV of equal-length array columns, one row format for all rows:
+    formats holds '%d' for integer or boolean columns and '%.17g' for
+    float columns."""
     line = ",".join(formats) + "\n"
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", newline="\n") as f:

@@ -1,8 +1,9 @@
 """Forward and instantaneous kinematics of the planar bellow actuator.
 
-ramp_kinematics integrates the tip pose and twist over a whole pressure
-ramp, free or under a pinning contact; tip_pose, jacobian, resolved_rates
-and contact.contact_tip_pose read single samples of it.
+arc_kinematics integrates a tangent field over an arc from a base point:
+the end pose and twist at every pressure of a ramp.  ramp_kinematics is
+the free backbone, the arc [0, L] from the origin; tip_pose, jacobian and
+resolved_rates read single samples of it.
 
 Positions live in the bending plane with coordinates (x, z); the tangent
 angle is measured from the +x axis, so a straight actuator lies along +x.
@@ -19,8 +20,6 @@ import numpy as np
 
 from . import modal
 from .quadrature import DEFAULT_PANELS, XI, XI_W  # DEFAULT_PANELS: re-exported
-
-_Q_TOL = 1e-12
 
 # the field rows of an arc [0, ell] on the arc rule: its base, its end
 # and its nodes, on [0, 1]
@@ -69,12 +68,6 @@ def _warn_extrapolation(model, q):
                       stacklevel=3)
 
 
-def _check_q(contact, q: float):
-    # un-pinning (pressure release below onset) invalidates the frozen state
-    if q < contact.q_c - _Q_TOL:
-        raise ValueError(f"pressure {q} below contact onset {contact.q_c}")
-
-
 def arc_field(model: modal.ModalModel, ell: float, q):
     """The field over the arc [0, ell] at the pressures q, on the arc
     rule: theta and dtheta/dq at the rows (0, ell, nodes...), each of
@@ -94,37 +87,16 @@ class RampKinematics(NamedTuple):
     omega: np.ndarray
 
 
-def ramp_kinematics(model: modal.ModalModel, q, contact=None,
-                    qdot=1.0) -> RampKinematics:
-    """Tip poses and twists at every pressure of q, twists at rate qdot.
+def arc_kinematics(th, g, wts, x0=0.0, z0=0.0, qdot=1.0) -> RampKinematics:
+    """End poses and twists of the arc whose field arc_field lays out:
+    theta and dtheta/dq as (2 + nodes, samples) rows, integrated from the
+    base point (x0, z0), twists at rate qdot.
 
-    The field's values on the quadrature nodes for every sample are one
-    (nodes x samples) matrix product; poses and twists are weighted sums
-    down the node axis, and the twists differentiate the same node layout,
-    so they are the exact derivative of the discrete tip pose.
-
-    contact=None is the free backbone over [0, L].  A contact.ContactState
-    gives the contacted backbone: the frozen base pose plus the distal
-    field theta(u, q) - theta(0, q) + theta(s_c, q_c) over u in
-    [0, L - s_c], which starts at the frozen tangent (the base pose's
-    theta), so every q must be at or above the onset pressure.
+    Poses and twists are weighted sums down the node axis, and the twists
+    differentiate the same node layout, so they are the exact derivative
+    of the discrete end pose.  th and g are overwritten: a long ramp holds
+    three (rows x samples) arrays at a time instead of eight.
     """
-    q = np.asarray(q, dtype=float)
-    if contact is None:
-        ell, x0, z0 = model.L, 0.0, 0.0
-    else:
-        if q.size:
-            _check_q(contact, float(q.min()))
-        ell = model.L - contact.s_c
-        x0, z0 = contact.base_pose_c.x, contact.base_pose_c.z
-    # (rows x samples) arrays are updated in place: a long ramp holds
-    # three of them at a time instead of eight
-    th, g, wts = arc_field(model, ell, q)
-    if contact is not None:
-        base0 = th[0].copy()
-        th += contact.base_pose_c.theta
-        th -= base0
-        g -= g[0].copy()
     theta, omega = wrap_angles(th[1]), qdot * g[1]
     th, g = th[2:], g[2:]
     cos_t = np.cos(th)
@@ -133,6 +105,12 @@ def ramp_kinematics(model: modal.ModalModel, q, contact=None,
     vz = qdot * (wts @ np.multiply(cos_t, g, out=cos_t))
     vx = qdot * (wts @ np.multiply(np.negative(sin_t, out=sin_t), g, out=sin_t))
     return RampKinematics(x=x, z=z, theta=theta, vx=vx, vz=vz, omega=omega)
+
+
+def ramp_kinematics(model: modal.ModalModel, q, qdot=1.0) -> RampKinematics:
+    """Free tip poses and twists at every pressure of q, twists at rate
+    qdot: the arc [0, L] from the origin, from one field evaluation."""
+    return arc_kinematics(*arc_field(model, model.L, q), qdot=qdot)
 
 
 def tip_pose(model: modal.ModalModel, q: float) -> PlanarPose:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
-from .contact import freeze
+from .contact import contact_kinematics, freeze
 from .estimation import predicted_centrode
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 
@@ -103,14 +103,12 @@ def simulate_contact(model: modal.ModalModel, ramp,
     Samples below q_c follow the free model; from onset on, the contacted
     model.  Returns (stream, contact_state).
     """
-    if not (0.0 < s_c < model.L):
-        raise ValueError(f"contact location outside (0, {model.L})")
     contact = freeze(model, float(q_c), float(s_c))
     q, _ = _pressures(ramp)
     free = q < q_c
     cols = np.empty((len(RampKinematics._fields), q.size))
     cols[:, free] = ramp_kinematics(model, q[free])
-    cols[:, ~free] = ramp_kinematics(model, q[~free], contact)
+    cols[:, ~free] = contact_kinematics(model, contact, q[~free])
     x, z, theta = cols[:3]
     return PoseStream(t=np.arange(q.size), q=q, x=x, z=z, theta=theta), contact
 

@@ -1,7 +1,7 @@
 """Deterministic Gauss-Legendre quadrature: the package's one arc rule.
 
 The arc rule integrates the model's field over an arc: the tip pose and
-twist of kinematics.ramp_kinematics, the pin's base pose in
+twist of kinematics.arc_kinematics, the pin's base pose in
 contact.station_pose, and the marker positions calibration.fit_modal
 checks its fit against.  It is one 24-point Gauss-Legendre panel (exact
 for polynomials up to degree 47); the tangent field is analytic in arc

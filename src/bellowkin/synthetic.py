@@ -16,7 +16,7 @@ Lengths are in pixels (0.2959 mm/pixel); pressures in Psi.
 import numpy as np
 
 from .calibration import CalibrationDataset
-from .io import write_csv
+from .io import write_columns
 
 TRUE_LENGTH = 500.0  # px
 REFERENCE_PRESSURES = (0.0, 6.0, 10.0, 15.0, 21.0)
@@ -86,8 +86,9 @@ def make_reference_dataset(n_points: int = POINTS_PER_BACKBONE) -> CalibrationDa
 
 def write_calibration_csv(dataset: CalibrationDataset, path):
     """Export a dataset in the `pressure_psi,point_index,x,z` input format."""
-    rows = []
-    for j, q in enumerate(dataset.pressures):
-        for k, (x, z) in enumerate(dataset.points[j]):
-            rows.append((float(q), k, float(x), float(z)))
-    write_csv(path, ["pressure_psi", "point_index", "x", "z"], rows)
+    pts = np.asarray(dataset.points, dtype=float)  # (pressures, markers, 2)
+    n_q, n_pts, _ = pts.shape
+    write_columns(path, ["pressure_psi", "point_index", "x", "z"],
+                  ["%.17g", "%d", "%.17g", "%.17g"],
+                  [np.repeat(dataset.pressures, n_pts),
+                   np.tile(np.arange(n_pts), n_q), *pts.reshape(-1, 2).T])

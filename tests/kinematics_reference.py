@@ -2,7 +2,7 @@
 and instant center at one pressure, each integrated on its own.
 
 The package itself integrates the tip pose and twist only in
-kinematics.ramp_kinematics, on one 24-point Gauss-Legendre panel; these
+kinematics.arc_kinematics, on one 24-point Gauss-Legendre panel; these
 scalar integrals, on their own rule (REFERENCE_PANELS panels of the
 5-point rule), are what test_ramp and test_estimation compare it against.
 Also kept here as oracles: the constant-curvature closed form (cc_pose),
@@ -17,8 +17,8 @@ import numpy as np
 
 from bellowkin import modal
 from bellowkin.centrode import EPS_OMEGA
-from bellowkin.contact import ContactState
-from bellowkin.kinematics import PlanarPose, _check_q, _warn_extrapolation
+from bellowkin.contact import ContactState, _check_q
+from bellowkin.kinematics import PlanarPose, _warn_extrapolation
 from bellowkin.synthetic import cumulative_stations
 
 REFERENCE_PANELS = 20

@@ -202,10 +202,13 @@ def test_reference_fit_residuals(reference_report):
 
 
 def test_reference_dataset_matches_shipped_csv(reference_dataset):
+    # the shipped markers were written by an earlier integrator: the
+    # regenerated ones differ from them by round-off (1.1e-13 px) alone
     regen = make_reference_dataset()
-    assert np.allclose(regen.pressures, reference_dataset.pressures)
-    assert np.allclose(regen.s_samples, reference_dataset.s_samples, atol=1e-9)
-    assert np.allclose(regen.theta, reference_dataset.theta, atol=1e-9)
+    assert np.array_equal(regen.pressures, reference_dataset.pressures)
+    np.testing.assert_allclose(np.asarray(regen.points),
+                               np.asarray(reference_dataset.points),
+                               rtol=0, atol=1e-12)
 
 
 def test_fit_reads_the_field_once(monkeypatch, reference_dataset):

@@ -8,7 +8,7 @@ import pytest
 
 from bellowkin import centrode as ct
 from bellowkin import pipeline as pl
-from bellowkin.cli import main
+from bellowkin.cli import ONSET_GUARD, main
 from bellowkin.modal import ModalModel
 from tests.conftest import DATA_CSV
 
@@ -548,6 +548,33 @@ def test_estimate_skips_samples_differenced_across_the_onset(
                 "--s0", repr(s0), "--out-dir", est]) == 0
     doc = json.load(open(os.path.join(est, "estimation.json")))
     assert abs(doc["s_c_est"] - float(contact.split("@")[0])) <= 0.21
+
+
+def test_detection_reports_onset_at_most_two_samples_early(reference_model):
+    # ONSET_GUARD leaves out the stencil's half-width (1) plus detection's
+    # largest early lag: the reported onset is never after the first
+    # pinned sample and at most ONSET_GUARD - 1 samples before it.  Run as
+    # detect runs it, on 6 on-grid and 12 off-grid q_c per (step, s_c)
+    rng = np.random.default_rng(2108)
+    for step in (0.1, 0.05, 0.025):
+        ramp = pl.PressureRamp(5.0, 20.0, step)
+        for s_c in (30.0, 50.0, 100.0, 200.0, 300.0, 400.0, 450.0, 480.0):
+            q_cs = [5.0, 6.0, 8.0, 10.0, 12.0, 15.0, *rng.uniform(5.0, 15.0, 12)]
+            for q_c in q_cs:
+                stream, _ = pl.simulate_contact(reference_model, ramp, s_c, q_c)
+                kin = pl.free_kinematics(reference_model, stream.q)
+                model_trace = pl.model_centrode(reference_model, stream.q,
+                                                kinematics=kin)
+                free = pl.simulate_free(reference_model, stream.q,
+                                        kinematics=kin)
+                xi = ct.default_threshold(ct.centrode_from_stream(free),
+                                          model_trace)
+                det = ct.fcd_detect(ct.centrode_from_stream(stream),
+                                    model_trace, xi=xi, t=stream.t)
+                first_pinned = int(np.argmax(stream.q >= q_c))
+                assert det.detected, (step, s_c, q_c)
+                gap = first_pinned - det.onset_t
+                assert 0 <= gap <= ONSET_GUARD - 1, (step, s_c, q_c, gap)
 
 
 def imported_by_cli(*packages):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellowkin.contact import ContactState, contact_tip_pose, freeze
-from bellowkin.kinematics import jacobian, ramp_kinematics, tip_pose, wrap_angle
+from bellowkin.contact import (ContactState, contact_kinematics,
+                               contact_tip_pose, freeze, station_pose)
+from bellowkin.kinematics import (arc_field, arc_kinematics, jacobian,
+                                  tip_pose, wrap_angle)
 from bellowkin.modal import ModalModel, theta
 from bellowkin.synthetic import cumulative_stations
 from tests.conftest import make_random_model
@@ -15,7 +17,7 @@ from tests.kinematics_reference import contact_theta, pose_at
 
 def contact_jacobian(model, contact, q):
     """Unit-rate (vx, vz, omega) of one contacted kernel sample."""
-    k = ramp_kinematics(model, [q], contact)
+    k = contact_kinematics(model, contact, [q])
     return np.array([k.vx[0], k.vz[0], k.omega[0]])
 
 
@@ -33,6 +35,21 @@ def test_freeze_zero_model():
     assert c.base_pose_c.x == pytest.approx(100.0, abs=1e-9)
     assert c.base_pose_c.z == pytest.approx(0.0, abs=1e-9)
     assert c.base_pose_c.theta == 0.0
+
+
+def test_station_pose_is_the_arc_kernel_pose(reference_model):
+    # station_pose keeps pose-only sums of its own; they are the pose the
+    # arc kernel integrates over [0, s_c] at q_c, to within an ulp
+    rng = np.random.default_rng(18)
+    models = [reference_model] + [make_random_model(rng) for _ in range(4)]
+    for model in models:
+        for s_c, q_c in zip(rng.uniform(0.0, model.L, 200),
+                            rng.uniform(0.0, 25.0, 200)):
+            pose = station_pose(model, q_c, s_c)
+            k = arc_kinematics(*arc_field(model, s_c, [q_c]))
+            for got, ref in ((pose.x, k.x[0]), (pose.z, k.z[0]),
+                             (pose.theta, k.theta[0])):
+                assert abs(got - ref) <= np.spacing(abs(ref)), (s_c, q_c)
 
 
 def test_freeze_matches_free_station(reference_model):
@@ -174,8 +191,8 @@ def test_contact_jacobian_norm_non_increasing_in_s_c(reference_model):
 
 def test_contact_tip_twist_scales(reference_model):
     c = freeze(reference_model, 5.0, 100.0)
-    t1 = ramp_kinematics(reference_model, [12.0], c, qdot=0.05)
-    t2 = ramp_kinematics(reference_model, [12.0], c, qdot=0.10)
+    t1 = contact_kinematics(reference_model, c, [12.0], qdot=0.05)
+    t2 = contact_kinematics(reference_model, c, [12.0], qdot=0.10)
     assert t2.vx[0] == pytest.approx(2 * t1.vx[0], rel=1e-12)
     assert t2.vz[0] == pytest.approx(2 * t1.vz[0], rel=1e-12)
     assert t2.omega[0] == pytest.approx(2 * t1.omega[0], rel=1e-12)

@@ -1,8 +1,28 @@
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellowkin.io import write_columns, write_csv
+from bellowkin.io import write_columns
+
+
+def fmt(x) -> str:
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        return f"{x:.17g}"
+    return str(x)
+
+
+def write_csv(path, header, rows):
+    """The per-row, per-value writer write_columns is compared against."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(x) for x in row) + "\n")
 
 EDGE_FLOATS = [float("nan"), -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
                float("inf"), 0.1, 1.0 / 3.0]

@@ -8,7 +8,7 @@ import pytest
 from bellowkin import modal, pipeline, quadrature, synthetic
 from bellowkin.calibration import fit_modal
 from bellowkin.centrode import instant_centers
-from bellowkin.contact import (ContactState, freeze,
+from bellowkin.contact import (ContactState, contact_kinematics, freeze,
                                hypothesis_centrode_gradient, pinned_ramp)
 from bellowkin.estimation import predicted_centrode
 from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
@@ -48,13 +48,20 @@ def per_sample(model, q, contact):
     return out
 
 
+def kernel(model, q, contact, qdot=1.0):
+    """The free or the contacted ramp kernel."""
+    if contact is None:
+        return ramp_kinematics(model, q, qdot=qdot)
+    return contact_kinematics(model, contact, q, qdot=qdot)
+
+
 def kernel_centrode(model, q, contact):
-    kin = ramp_kinematics(model, q, contact, qdot=QDOT)
+    kin = kernel(model, q, contact, qdot=QDOT)
     return instant_centers(kin.x, kin.z, kin.vx, kin.vz, kin.omega)
 
 
 def assert_matches(model, q, contact):
-    kin = ramp_kinematics(model, q, contact, qdot=QDOT)
+    kin = kernel(model, q, contact, qdot=QDOT)
     trace = kernel_centrode(model, q, contact)
     ref = per_sample(model, q, contact)
     assert len(kin.x) == len(trace.valid) == len(q)
@@ -101,7 +108,7 @@ def test_arc_rule_matches_dense_reference():
                     contact = ContactState(model.L - ell, 0.0,
                                            PlanarPose(0.0, 0.0, 0.0))
                     base = modal.theta_grid(model, [0.0], q)
-                kin = ramp_kinematics(model, q, contact)
+                kin = kernel(model, q, contact)
 
                 def composite(n_panels):
                     nodes, wts = panel_nodes(0.0, ell, n_panels)
@@ -142,7 +149,7 @@ def test_kernel_checks_only_the_arc_length(reference_model, monkeypatch):
                                 lambda *a: laid_out.append(a))
     q = PressureRamp(5.0, 20.0, 0.05).values
     ramp_kinematics(reference_model, q)
-    ramp_kinematics(reference_model, q, freeze(reference_model, 5.0, 100.0))
+    contact_kinematics(reference_model, freeze(reference_model, 5.0, 100.0), q)
     hypothesis_centrode_gradient(reference_model, 100.0, q)
     assert all(n == 1 for n in checked)
     assert laid_out == []
@@ -197,7 +204,7 @@ def test_contacted_kernel_matches_constant_curvature_arcs(k0):
     for s_c in (37.5, 150.0, 260.0, 480.0):
         for q_c in (0.0, 5.0, 12.0):
             q = q_c + np.array([0.0, 0.5, 3.0, 8.0])
-            kin = ramp_kinematics(m, q, freeze(m, q_c, s_c))
+            kin = contact_kinematics(m, freeze(m, q_c, s_c), q)
             x0, z0, phi0 = arc_end(0.0, 0.0, 0.0, k0 * q_c, s_c)
             for k, qk in enumerate(q):
                 x, z, th = arc_end(x0, z0, phi0, k0 * qk, L - s_c)
@@ -284,14 +291,14 @@ def test_pin_tangent_is_read_from_the_base_pose(reference_model, monkeypatch):
     q = PressureRamp(5.0, 20.0, 0.05).values
     hypothesis_centrode_gradient(reference_model, 100.0, q)
     assert calls == []
-    ramp_kinematics(reference_model, q, freeze(reference_model, 5.0, 100.0))
+    contact_kinematics(reference_model, freeze(reference_model, 5.0, 100.0), q)
     assert calls == []
 
 
 def test_contact_ramp_rejects_release(reference_model):
     contact = freeze(reference_model, 10.0, 100.0)
     with pytest.raises(ValueError, match="below contact onset"):
-        ramp_kinematics(reference_model, [9.0, 10.0], contact)
+        contact_kinematics(reference_model, contact, [9.0, 10.0])
 
 
 def test_ramp_sample_cap():
@@ -338,16 +345,15 @@ def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
     # regression guard: the free centrode is shared by every location, and
     # each location adds a fixed number of field evaluations
     grid_calls, free_calls = [], []
-    arc_grids, kernel = modal.arc_grids, pipeline.ramp_kinematics
+    arc_grids, free_kernel = modal.arc_grids, pipeline.ramp_kinematics
 
     def counting_grid(*args, **kwargs):
         grid_calls.append(1)
         return arc_grids(*args, **kwargs)
 
-    def counting_kernel(model, q, contact=None, *args, **kwargs):
-        if contact is None:
-            free_calls.append(1)
-        return kernel(model, q, contact, *args, **kwargs)
+    def counting_kernel(*args, **kwargs):
+        free_calls.append(1)
+        return free_kernel(*args, **kwargs)
 
     monkeypatch.setattr(modal, "arc_grids", counting_grid)
     # the free kernel call is looked up in pipeline (model_centrode)
