@@ -25,32 +25,37 @@ class RankDeficientError(ValueError):
 
 
 def tangents_from_points(points):
-    """Arc-length samples and tangent angles along one annotated backbone.
+    """Arc-length samples and tangent angles along annotated backbones.
 
-    Arc length is cumulative chord length from the base point.  The tangent
-    angle at each station is the derivative of the Lagrange quadratic
-    through the station and its neighbors (one-sided at the endpoints);
-    the base angle is reported as measured, not forced to zero.
+    points is (..., n, 2): one backbone of n ordered points, or any stack
+    of them (one per pressure), each read on its own.  Arc length is
+    cumulative chord length from the base point.  The tangent angle at
+    each station is the derivative of the Lagrange quadratic through the
+    station and its neighbors (one-sided at the endpoints); the base
+    angle is reported as measured, not forced to zero.  Returns s and
+    theta, each of shape (..., n).
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array")
-    n = pts.shape[0]
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise ValueError("points must be an (..., n, 2) array")
+    n = pts.shape[-2]
     if n < 3:
         raise ValueError("need at least 3 backbone points")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = np.linalg.norm(np.diff(pts, axis=-2), axis=-1)
     if np.any(seg == 0.0):
         raise ValueError("duplicate consecutive backbone points")
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.concatenate([np.zeros(seg.shape[:-1] + (1,)),
+                        np.cumsum(seg, axis=-1)], axis=-1)
 
     # window start per station; one-sided at the ends
     j = np.clip(np.arange(n) - 1, 0, n - 3)
-    s0, s1, s2 = s[j], s[j + 1], s[j + 2]
+    s0, s1, s2 = s[..., j], s[..., j + 1], s[..., j + 2]
     c0 = (2 * s - s1 - s2) / ((s0 - s1) * (s0 - s2))
     c1 = (2 * s - s0 - s2) / ((s1 - s0) * (s1 - s2))
     c2 = (2 * s - s0 - s1) / ((s2 - s0) * (s2 - s1))
-    d = c0[:, None] * pts[j] + c1[:, None] * pts[j + 1] + c2[:, None] * pts[j + 2]
-    return s, np.arctan2(d[:, 1], d[:, 0])
+    d = (c0[..., None] * pts[..., j, :] + c1[..., None] * pts[..., j + 1, :]
+         + c2[..., None] * pts[..., j + 2, :])
+    return s, np.arctan2(d[..., 1], d[..., 0])
 
 
 def build_design_matrices(s_samples, q_samples, v: int, w: int):
@@ -108,19 +113,21 @@ class CalibrationDataset:
         counts = {len(p) for p in points_per_pressure}
         if len(counts) != 1:
             raise ValueError(f"inconsistent point counts across pressures: {sorted(counts)}")
-        pts_list = [np.asarray(pts, dtype=float) for pts in points_per_pressure]
-        fits = [tangents_from_points(pts) for pts in pts_list]
-        return cls(pressures=pressures, points=pts_list, s_samples=fits[0][0],
-                   theta=np.column_stack([th for _, th in fits]))
+        pts = np.stack([np.asarray(p, dtype=float) for p in points_per_pressure])
+        s, th = tangents_from_points(pts)  # one pass over every pressure
+        return cls(pressures=pressures, points=list(pts), s_samples=s[0],
+                   theta=th.T)
 
 
 def load_calibration_csv(path) -> CalibrationDataset:
     """Read a `pressure_psi,point_index,x,z` CSV into a dataset.
 
     Rows are grouped by pressure and ordered by point index.  A malformed
-    row, a non-finite pressure or coordinate, or a point index that is not
-    an integer raises ValueError naming the row, numbered from 1 after the
-    header as io.read_table numbers them.
+    row, a non-finite pressure or coordinate, a point index that is not an
+    integer, a point index repeated at one pressure, or one missing at
+    some pressure (every pressure must carry the same indices) raises
+    ValueError naming the row, numbered from 1 after the header as
+    io.read_table numbers them.
     """
     data = read_table(path, ["pressure_psi", "point_index", "x", "z"],
                       "calibration CSV")
@@ -135,10 +142,25 @@ def load_calibration_csv(path) -> CalibrationDataset:
         what = ("pressure and coordinates must be finite" if whole[k]
                 else "point_index must be an integer")
         raise ValueError(f"calibration CSV row {k + 1}: {what}")
-    data = data[np.lexsort((z, x, idx, q))]
-    pressures, starts = np.unique(data[:, 0], return_index=True)
-    return CalibrationDataset.from_points(pressures,
-                                          np.split(data[:, 2:], starts[1:]))
+    # stable: a repeated (pressure, index) pair keeps its file order
+    order = np.lexsort((idx, q))
+    qs, ids = q[order], idx[order]
+    repeat = (qs[1:] == qs[:-1]) & (ids[1:] == ids[:-1])
+    if repeat.any():
+        k = order[1:][repeat].min()
+        first = np.flatnonzero((q == q[k]) & (idx == idx[k]))[0]
+        raise ValueError(f"calibration CSV row {k + 1}: point_index "
+                         f"{int(idx[k])} repeats at pressure {q[k]:g} "
+                         f"(first given at row {first + 1})")
+    pressures, starts = np.unique(qs, return_index=True)
+    index_sets = [set(g.tolist()) for g in np.split(ids, starts[1:])]
+    common = set.intersection(*index_sets)
+    if any(len(s) > len(common) for s in index_sets):
+        k = next(r for r, i in enumerate(idx.tolist()) if i not in common)
+        raise ValueError(f"calibration CSV row {k + 1}: point_index "
+                         f"{int(idx[k])} is not given at every pressure")
+    return CalibrationDataset.from_points(
+        pressures, np.split(data[order, 2:], starts[1:]))
 
 
 @dataclass
@@ -173,12 +195,17 @@ class FitReport:
         }, indent=2)
 
 
-def _check_factor_rank(mat, order, names, what):
-    rank = np.linalg.matrix_rank(mat)
+def _factor_singular_values(mat, order, names, what):
+    """The singular values of one design factor, taken once: its numerical
+    rank, by numpy's matrix_rank tolerance, must reach order."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    tol = sv.max() * (max(mat.shape) * np.finfo(sv.dtype).eps)
+    rank = int(np.count_nonzero(sv > tol))
     if rank < order:
         missing = ", ".join(names[k] for k in range(rank, order))
         raise RankDeficientError(
             f"{what} basis rank {rank} < {order}; unresolved directions: {missing}")
+    return sv
 
 
 def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
@@ -199,8 +226,10 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
     L = dataset.L
     s_hat = dataset.s_samples / L
     omega, gamma = build_design_matrices(s_hat, dataset.pressures, v, w)
-    _check_factor_rank(omega, v, [f"s^{k}" for k in range(v)], "arc-length")
-    _check_factor_rank(gamma.T, w, [f"q^{k}" for k in range(w)], "pressure")
+    sv_omega = _factor_singular_values(omega, v, [f"s^{k}" for k in range(v)],
+                                       "arc-length")
+    sv_gamma = _factor_singular_values(gamma, w, [f"q^{k}" for k in range(w)],
+                                       "pressure")
 
     design = np.kron(gamma.T, omega)
     rhs = dataset.theta.ravel(order="F")
@@ -213,7 +242,8 @@ def fit_modal(dataset: CalibrationDataset, v: int = 3, w: int = 3,
     model = ModalModel(A=A, L=L, unit_scale=scale,
                        q_range=(float(dataset.pressures[0]), float(dataset.pressures[-1])))
 
-    conditioning = float(np.linalg.cond(omega) * np.linalg.cond(gamma))
+    # np.linalg.cond of each factor, from the singular values above
+    conditioning = float(sv_omega[0] / sv_omega[-1] * (sv_gamma[0] / sv_gamma[-1]))
     theta_hat = omega @ A @ gamma
     max_theta = np.max(np.abs(theta_hat - dataset.theta), axis=0)
     # one field read on the arc rule: the base, then the nodes of every

@@ -3,7 +3,10 @@
 arc_kinematics integrates a tangent field over an arc from a base point:
 the end pose and twist at every pressure of a ramp.  ramp_kinematics is
 the free backbone, the arc [0, L] from the origin; tip_pose, jacobian and
-resolved_rates read single samples of it.
+resolved_rates read single samples of it.  The field on an arc is the
+product of a pressure-free arc factor and a pressure factor
+(modal.arc_factor, modal._field): resolved_rates builds the free arc's
+factor once per solve, and each iteration reads one pressure column of it.
 
 Positions live in the bending plane with coordinates (x, z); the tangent
 angle is measured from the +x axis, so a straight actuator lies along +x.
@@ -146,13 +149,26 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     Steps q by the damped pseudo-inverse of the 2x1 position Jacobian times
     alpha times the task error.  Fails explicitly on max_iter or when the
     task error stalls (relative decrease < 1e-12 over 20 iterations).
+    x_des must be one finite (x, z) pair, q0 finite, tol positive and
+    finite and max_iter at least 0; anything else raises ValueError.
+
+    Each iteration is one sample of ramp_kinematics, bit for bit: the free
+    arc's factor, which does not depend on pressure, is built once, and
+    every iteration multiplies it by one pressure factor.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 0:
+        raise ValueError("max_iter must be >= 0")
     x_des = np.asarray(x_des, dtype=float)
+    if x_des.shape != (2,) or not np.all(np.isfinite(x_des)):
+        raise ValueError("x_des must be one finite (x, z) pair")
+    if not math.isfinite(q0):
+        raise ValueError("q0 must be finite")
 
+    B, wts = modal.arc_factor(model, model.L, _ARC_ROWS), model.L * XI_W
     q = float(q0)
     trace = []
     errs = []
@@ -160,7 +176,7 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     converged = stalled = False
     for i in range(max_iter + 1):
         # one kernel sample gives the tip position and its Jacobian
-        k = ramp_kinematics(model, [q])
+        k = arc_kinematics(*modal._field(B, [q]), wts)
         x, z = float(k.x[0]), float(k.z[0])
         e = x_des - np.array([x, z])
         err = float(np.hypot(e[0], e[1]))

@@ -5,9 +5,13 @@ with monomial bases psi = (1, s, ..., s^(v-1)) in arc length and
 eta = (1, q, ..., q^(w-1)) in pressure.  Coefficients are stored against the
 normalized arc coordinate s/L, which keeps the arc-length Vandermonde well
 conditioned when L is hundreds of length units; evaluation accepts
-unnormalized arc length.  Every read goes through one evaluator: a grid
-of arc rows times A times pressure columns.  The one-pressure reads take
-its single column.
+unnormalized arc length.  Every read goes through one evaluator, the
+product of two factors: an arc factor, the arc rows times A, which does
+not depend on pressure, and a pressure factor, the columns eta(q) and
+deta/dq(q) from one power table.  A caller that reads one arc at many
+pressures, one at a time, builds the arc factor once (arc_factor) and
+multiplies it by each pressure factor (_field).  The one-pressure reads
+take a single column.
 """
 
 import json
@@ -120,38 +124,43 @@ def _eta_cols(q: np.ndarray, w: int) -> np.ndarray:
     return np.power(q[None, :], np.arange(w)[:, None])
 
 
-def _deta_dq_cols(q: np.ndarray, w: int) -> np.ndarray:
-    """Columns of d eta / dq at pressure samples; shape (w, len(q))."""
-    D = np.zeros((w, q.size))
-    if w > 1:
-        k = np.arange(1, w)
-        D[1:, :] = k[:, None] * np.power(q[None, :], (k - 1)[:, None])
-    return D
+def _pressure_cols(q: np.ndarray, w: int) -> tuple:
+    """Columns of eta and of deta/dq at pressure samples, both from one
+    power table: the derivative's row k is k times eta's row k - 1.  Two
+    arrays of shape (w, len(q))."""
+    eta = _eta_cols(q, w)
+    deta = np.zeros((w, q.size))
+    deta[1:] = np.arange(1, w)[:, None] * eta[:-1]
+    return eta, deta
 
 
-def _field(rows: np.ndarray, A: np.ndarray, q,
-           cols=(_eta_cols, _deta_dq_cols)) -> tuple:
-    """The field's one evaluator: arc rows (n, v) times the coefficients A
-    times the pressure columns each builder in cols makes at the pressures
-    q (by default eta and deta/dq).  One (n, len(q)) array per builder;
-    the rows are not range-checked here."""
+def _field(B: np.ndarray, q, deriv: bool = True) -> tuple:
+    """The field's one evaluator: an arc factor B (n, w), arc rows times
+    the coefficients A, times the pressure factor at the pressures q.
+    Returns theta and, with deriv, dtheta/dq, each of shape (n, len(q));
+    B's rows are not range-checked here."""
     q = np.asarray(q, dtype=float)
-    B = rows @ A
-    return tuple(B @ col(q, A.shape[1]) for col in cols)
+    w = B.shape[1]
+    cols = _pressure_cols(q, w) if deriv else (_eta_cols(q, w),)
+    return tuple(B @ c for c in cols)
 
 
-def _checked_rows(model: ModalModel, s) -> np.ndarray:
-    """psi rows at the arc samples s, each range-checked against [0, L]."""
-    return _psi_rows(model._check_s(np.atleast_1d(s)) / model.L, model.v)
+def _checked_factor(model: ModalModel, s) -> np.ndarray:
+    """The arc factor at the arc samples s, each range-checked against
+    [0, L]."""
+    return _psi_rows(model._check_s(np.atleast_1d(s)) / model.L,
+                     model.v) @ model.A
 
 
-def arc_grids(model: ModalModel, ell: float, xi, q):
-    """theta and dtheta/dq on the outer grid of the arc samples ell * xi
-    x the pressures q, for reference rows xi on [0, 1].
+def arc_factor(model: ModalModel, ell: float, xi) -> np.ndarray:
+    """The pressure-free factor of the field on the arc samples ell * xi,
+    for reference rows xi on [0, 1]: psi(xi)^T diag((ell / L)^k) A, shape
+    (len(xi), w).  _field(arc_factor(...), q) reads theta and dtheta/dq
+    on that arc at the pressures q.
 
     psi(ell xi / L) is the Vandermonde of xi times the diagonal
     (ell / L)^k, which is folded into A, so of the arc only ell is
-    range-checked.  Returns two arrays of shape (len(xi), len(q)).
+    range-checked.
     """
     # _check_s's bounds on the one float, without its array round trip
     ell, L = float(ell), model.L
@@ -159,7 +168,15 @@ def arc_grids(model: ModalModel, ell: float, xi, q):
         raise ValueError(f"arc length outside [0, {L}]")
     ell = min(max(ell, 0.0), L)
     A = np.power(ell / L, np.arange(model.v))[:, None] * model.A
-    return _field(_psi_rows(xi, model.v), A, q)
+    return _psi_rows(xi, model.v) @ A
+
+
+def arc_grids(model: ModalModel, ell: float, xi, q):
+    """theta and dtheta/dq on the outer grid of the arc samples ell * xi
+    x the pressures q, for reference rows xi on [0, 1]: the arc factor
+    times the pressure factor.  Returns two arrays of shape
+    (len(xi), len(q))."""
+    return _field(arc_factor(model, ell, xi), q)
 
 
 def ds_grids(model: ModalModel, s_hat, q):
@@ -168,13 +185,13 @@ def ds_grids(model: ModalModel, s_hat, q):
     (len(s_hat), len(q)).  The rows are not range-checked: the caller
     has placed them on [0, 1]."""
     return tuple(g / model.L
-                 for g in _field(_dpsi_rows(s_hat, model.v), model.A, q))
+                 for g in _field(_dpsi_rows(s_hat, model.v) @ model.A, q))
 
 
 def theta_grid(model: ModalModel, s, q) -> np.ndarray:
     """Tangent angles on the outer grid of arc samples x pressure samples;
     shape (len(s), len(q))."""
-    return _field(_checked_rows(model, s), model.A, q, (_eta_cols,))[0]
+    return _field(_checked_factor(model, s), q, deriv=False)[0]
 
 
 def _column(grid: np.ndarray, s):
@@ -186,14 +203,12 @@ def _column(grid: np.ndarray, s):
 def theta(model: ModalModel, s, q):
     """Tangent angle psi(s)^T A eta(q), radians, at one pressure.  s may be
     an array."""
-    return _column(_field(_checked_rows(model, s), model.A, [q],
-                          (_eta_cols,))[0], s)
+    return _column(_field(_checked_factor(model, s), [q], deriv=False)[0], s)
 
 
 def dtheta_dq(model: ModalModel, s, q):
     """Pressure sensitivity psi(s)^T A deta_dq(q) at one pressure."""
-    return _column(_field(_checked_rows(model, s), model.A, [q],
-                          (_deta_dq_cols,))[0], s)
+    return _column(_field(_checked_factor(model, s), [q])[1], s)
 
 
 def in_calibrated_range(model: ModalModel, q) -> bool:

@@ -6,8 +6,11 @@ kinematics.arc_kinematics, on one 24-point Gauss-Legendre panel; these
 scalar integrals, on their own rule (REFERENCE_PANELS panels of the
 5-point rule), are what test_ramp and test_estimation compare it against.
 Also kept here as oracles: the constant-curvature closed form (cc_pose),
-the piecewise tangent field of a contacted backbone (contact_theta), and
-the pin's base pose integrated over 65 equal stations (station_pose).
+the piecewise tangent field of a contacted backbone (contact_theta), the
+pin's base pose integrated over 65 equal stations (station_pose), and
+resolved rates as a loop over whole ramp_kinematics calls
+(resolved_rates_loop), which the package's solve, reading one pressure
+column of a factor it builds once, must equal bit for bit.
 """
 
 import math
@@ -18,7 +21,8 @@ import numpy as np
 from bellowkin import modal
 from bellowkin.centrode import EPS_OMEGA
 from bellowkin.contact import ContactState, _check_q
-from bellowkin.kinematics import PlanarPose, _warn_extrapolation
+from bellowkin.kinematics import (PlanarPose, RRResult, _warn_extrapolation,
+                                  ramp_kinematics)
 from bellowkin.synthetic import cumulative_stations
 
 REFERENCE_PANELS = 20
@@ -218,3 +222,41 @@ def contact_tip_twist(model: modal.ModalModel, contact: ContactState, q: float,
     """Tip twist of the contacted backbone under pressure rate qdot."""
     J = contact_jacobian(model, contact, q, n_panels=n_panels)
     return PlanarTwist(vx=J[0] * qdot, vz=J[1] * qdot, omega=J[2] * qdot)
+
+
+def resolved_rates_loop(model: modal.ModalModel, x_des, q0: float,
+                        alpha: float = 0.5, tol: float = 1e-3,
+                        max_iter: int = 200) -> RRResult:
+    """Damped resolved rates, each iteration one whole ramp_kinematics
+    sample: the field's arc factor rebuilt at every pressure."""
+    x_des = np.asarray(x_des, dtype=float)
+    q = float(q0)
+    trace, errs = [], []
+    best_q, best_err = q, math.inf
+    converged = stalled = False
+    for i in range(max_iter + 1):
+        k = ramp_kinematics(model, [q])
+        x, z = float(k.x[0]), float(k.z[0])
+        e = x_des - np.array([x, z])
+        err = float(np.hypot(e[0], e[1]))
+        trace.append((i, q, x, z, err))
+        errs.append(err)
+        if err < best_err:
+            best_q, best_err = q, err
+        if err <= tol:
+            converged = True
+            break
+        if i >= 20 and errs[-21] - err < 1e-12 * errs[-21]:
+            stalled = True
+            break
+        if i == max_iter:
+            break
+        J = np.array([k.vx[0], k.vz[0]])
+        jj = float(J @ J)
+        lam = 1e-6 * math.sqrt(jj)
+        q = q + float(J @ (alpha * e)) / (jj + lam * lam)
+    if converged:
+        return RRResult(q=q, err=errs[-1], converged=True, stalled=False,
+                        iterations=len(trace) - 1, trace=trace)
+    return RRResult(q=best_q, err=best_err, converged=False, stalled=stalled,
+                    iterations=len(trace) - 1, trace=trace)

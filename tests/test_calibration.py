@@ -64,6 +64,26 @@ def test_tangents_match_the_scalar_loop(base, steps):
     np.testing.assert_array_equal(th, th_ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3), st.integers(3, 30),
+       st.integers(0, 2 ** 32 - 1))
+def test_tangents_batched_equal_each_backbone(batch, n, seed):
+    # a stack of backbones, of any leading shape, is read as each
+    # backbone on its own, bit for bit
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(1e-3, 100.0, (*batch, n - 1, 1)) * np.stack(
+        [np.cos(h := rng.uniform(-np.pi, np.pi, (*batch, n - 1))),
+         np.sin(h)], axis=-1)
+    base = rng.uniform(-1e3, 1e3, (*batch, 1, 2))
+    points = np.cumsum(np.concatenate([base, steps], axis=-2), axis=-2)
+    s, th = tangents_from_points(points)
+    assert s.shape == th.shape == (*batch, n)
+    for k in np.ndindex(*batch):
+        s_one, th_one = tangents_from_points(points[k])
+        np.testing.assert_array_equal(s[k], s_one)
+        np.testing.assert_array_equal(th[k], th_one)
+
+
 def test_design_matrix_structure():
     s = np.array([0.0, 0.3, 0.7, 1.0])
     q = np.array([0.0, 6.0, 10.0])
@@ -137,16 +157,39 @@ def test_rank_deficient_arc_directions_named():
     from bellowkin.modal import ModalModel
     zero = ModalModel(A=np.zeros((1, 1)), L=500.0)
     ds = dataset_from_model(zero, [0.0, 500.0], [0.0, 6.0, 10.0, 15.0, 21.0])
-    with pytest.raises(RankDeficientError, match=r"s\^2"):
+    with pytest.raises(RankDeficientError) as info:
         fit_modal(ds, v=3, w=1)
+    assert str(info.value) == ("arc-length basis rank 2 < 3; unresolved "
+                               "directions: s^2")
 
 
 def test_rank_deficient_pressure_directions_named():
     from bellowkin.modal import ModalModel
     zero = ModalModel(A=np.zeros((1, 1)), L=500.0)
     ds = dataset_from_model(zero, np.linspace(0.0, 500.0, 9), [0.0, 21.0])
-    with pytest.raises(RankDeficientError, match=r"q\^2"):
+    with pytest.raises(RankDeficientError) as info:
         fit_modal(ds, v=1, w=3)
+    assert str(info.value) == ("pressure basis rank 2 < 3; unresolved "
+                               "directions: q^2")
+    # two pressures, but 1e-300 apart: q^1 is resolved only above the
+    # rank tolerance, which refuses it
+    ds = dataset_from_model(zero, np.linspace(0.0, 500.0, 9), [0.0, 1e-300])
+    with pytest.raises(RankDeficientError) as info:
+        fit_modal(ds, v=1, w=2)
+    assert str(info.value) == ("pressure basis rank 1 < 2; unresolved "
+                               "directions: q^1")
+
+
+@pytest.mark.parametrize("n, v, w", [(10, 3, 3), (20, 3, 4), (40, 4, 3),
+                                     (40, 4, 4), (10, 1, 1), (10, 5, 4)])
+def test_conditioning_is_the_product_of_factor_conditions(n, v, w):
+    # taken from each factor's one SVD, bit for bit numpy's cond
+    ds = make_reference_dataset(n_points=n)
+    _, report = fit_modal(ds, v=v, w=w)
+    omega, gamma = build_design_matrices(ds.s_samples / ds.L, ds.pressures,
+                                         v, w)
+    assert report.conditioning == float(np.linalg.cond(omega)
+                                        * np.linalg.cond(gamma))
 
 
 def test_csv_loader_errors(tmp_path):
@@ -183,6 +226,33 @@ def test_csv_loader_errors(tmp_path):
         with pytest.raises(ValueError, match="row 2: point_index must be an "
                                              "integer"):
             load_calibration_csv(fractional)
+
+
+def test_csv_point_indices_must_match_across_pressures(tmp_path):
+    header = "pressure_psi,point_index,x,z\n"
+    ok = "0,0,0,0\n0,1,1,0\n0,2,2,0\n5,0,0,0\n5,1,1,0\n5,2,2,0\n"
+    cases = [
+        # an index repeated at one pressure: the repeat, in file order
+        ("0,0,0,0\n0,1,1,0\n0,2,2,0\n5,0,0,0\n5,2,1,0\n5,2,2,0\n",
+         "row 6: point_index 2 repeats at pressure 5 (first given at row 5)"),
+        ("5,1,1,0\n0,0,0,0\n0,1,1,0\n5,1,2,0\n0,2,2,0\n5,0,0,0\n",
+         "row 4: point_index 1 repeats at pressure 5 (first given at row 1)"),
+        # the same count, but not the same indices
+        ("0,0,0,0\n0,1,1,0\n0,2,2,0\n5,0,0,0\n5,1,1,0\n5,3,2,0\n",
+         "row 3: point_index 2 is not given at every pressure"),
+        # an index given at one pressure only
+        ("0,0,0,0\n0,1,1,0\n0,2,2,0\n5,0,0,0\n5,1,1,0\n5,2,2,0\n5,7,3,0\n",
+         "row 7: point_index 7 is not given at every pressure"),
+    ]
+    good = tmp_path / "good.csv"
+    good.write_text(header + ok)
+    assert load_calibration_csv(good).s_samples.size == 3
+    for body, message in cases:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + body)
+        with pytest.raises(ValueError) as info:
+            load_calibration_csv(bad)
+        assert str(info.value) == f"calibration CSV {message}"
 
 
 def test_inconsistent_point_counts_rejected():

@@ -172,6 +172,22 @@ def test_calibrate_non_finite_point_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_repeated_point_index_exit_1(tmp_path, capsys):
+    # the 6-Psi marker 3 of the shipped data relabeled 5: fitted, the
+    # markers would be out of order (a 41.6 mm worst residual); refused
+    lines = open(DATA_CSV).read().splitlines()
+    assert lines[14].startswith("6,3,")
+    lines[14] = "6,5," + lines[14][len("6,3,"):]
+    bad = tmp_path / "repeat.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--input", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("calibrate: calibration CSV row 16: point_index 5 repeats "
+                   "at pressure 6 (first given at row 14)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_calibrate_rejects_bad_unit_scale(tmp_path, capsys, scale):
     out = tmp_path / "cal"

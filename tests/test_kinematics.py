@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellowkin import modal
 from bellowkin.kinematics import (
     PlanarPose,
     jacobian,
@@ -13,7 +14,8 @@ from bellowkin.kinematics import (
 )
 from bellowkin.modal import ModalModel, theta
 from bellowkin.synthetic import cumulative_stations
-from tests.kinematics_reference import cc_pose
+from tests.conftest import make_random_model
+from tests.kinematics_reference import cc_pose, resolved_rates_loop
 
 
 def constant_curvature_model(kappa0: float, L: float) -> ModalModel:
@@ -204,6 +206,74 @@ def test_resolved_rates_rejects_bad_gains(reference_model):
         resolved_rates(reference_model, [0, 0], q0=5.0, alpha=0.0)
     with pytest.raises(ValueError):
         resolved_rates(reference_model, [0, 0], q0=5.0, tol=0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"x_des": [math.nan, 0.0]}, "x_des"),
+    ({"x_des": [0.0, math.inf]}, "x_des"),
+    ({"x_des": [1.0, 2.0, 3.0]}, "x_des"),
+    ({"x_des": [[1.0, 2.0]]}, "x_des"),
+    ({"x_des": 1.0}, "x_des"),
+    ({"q0": math.nan}, "q0"),
+    ({"q0": math.inf}, "q0"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"),
+    ({"alpha": math.nan}, "alpha"),
+    ({"max_iter": -1}, "max_iter"),
+])
+def test_resolved_rates_rejects_non_finite_input(reference_model, kwargs,
+                                                 message):
+    args = {"x_des": [300.0, 100.0], "q0": 5.0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        resolved_rates(reference_model, **args)
+
+
+def test_resolved_rates_equals_the_ramp_kinematics_loop(reference_model):
+    # one arc factor per solve reads the same numbers as a whole kernel
+    # call per iteration: q, err, iterations and every trace row, bit for bit
+    rng = np.random.default_rng(20)
+    models = [reference_model] + [make_random_model(rng) for _ in range(3)]
+    for k in range(160):
+        model = models[k % len(models)]
+        target = tip_pose(model, float(rng.uniform(0.0, 21.0))).position
+        if k % 8 == 7:
+            target = target + rng.normal(0.0, 0.5 * model.L, 2)
+        kwargs = {"q0": float(rng.uniform(0.0, 21.0)),
+                  "alpha": float(rng.uniform(0.1, 1.0)),
+                  "tol": float(10.0 ** rng.uniform(-8, -1)),
+                  "max_iter": int(rng.integers(0, 60))}
+        res = resolved_rates(model, target, **kwargs)
+        ref = resolved_rates_loop(model, target, **kwargs)
+        assert res == ref
+
+
+def test_resolved_rates_builds_one_arc_factor_per_solve(reference_model,
+                                                        monkeypatch):
+    # the free arc's pressure-free factor is built once per solve, and
+    # every iteration reads one pressure column of it
+    builds, reads = [], []
+    arc_factor, field = modal.arc_factor, modal._field
+
+    def counting_factor(*args, **kwargs):
+        builds.append(1)
+        return arc_factor(*args, **kwargs)
+
+    def counting_field(*args, **kwargs):
+        reads.append(1)
+        return field(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "arc_factor", counting_factor)
+    monkeypatch.setattr(modal, "_field", counting_field)
+    target = tip_pose(reference_model, 15.0).position
+    seen = set()
+    for q0, max_iter in ((15.0, 200), (5.0, 3), (5.0, 200), (20.0, 1)):
+        builds.clear()
+        reads.clear()
+        res = resolved_rates(reference_model, target, q0=q0, max_iter=max_iter)
+        assert builds == [1]
+        assert len(reads) == res.iterations + 1
+        seen.add(res.iterations)
+    assert len(seen) == 4
 
 
 def test_pose_requires_finite_components():

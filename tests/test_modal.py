@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from bellowkin.calibration import build_design_matrices, tangents_from_points
 from bellowkin.modal import (
     ModalModel,
-    _deta_dq_cols,
     _eta_cols,
+    _pressure_cols,
     _psi_rows,
+    arc_factor,
+    arc_grids,
     ds_grids,
     dtheta_dq,
     in_calibrated_range,
@@ -30,7 +32,17 @@ def eta(q, w):
 
 
 def deta_dq(q, w):
-    return _deta_dq_cols(np.array([q], dtype=float), w)[:, 0]
+    return _pressure_cols(np.array([q], dtype=float), w)[1][:, 0]
+
+
+def deta_dq_cols_reference(q, w):
+    """The former deta/dq builder: a power table of its own, beside
+    _eta_cols's."""
+    D = np.zeros((w, q.size))
+    if w > 1:
+        k = np.arange(1, w)
+        D[1:, :] = k[:, None] * np.power(q[None, :], (k - 1)[:, None])
+    return D
 
 
 def test_psi_examples():
@@ -130,6 +142,35 @@ def test_deta_dq_matches_eta_differences(q, w):
     fd = (eta(q + h, w) - eta(q - h, w)) / (2 * h)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(deta_dq(q, w) - fd)) / scale <= 1e-8
+
+
+@settings(max_examples=200)
+@given(q=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+       w=st.integers(1, 7))
+def test_pressure_cols_match_the_former_builders(q, w):
+    # one power table gives eta and deta/dq, bit for bit the two builders
+    # that each took their own
+    q = np.asarray(q, dtype=float)
+    eta, deta = _pressure_cols(q, w)
+    np.testing.assert_array_equal(eta, _eta_cols(q, w))
+    np.testing.assert_array_equal(deta, deta_dq_cols_reference(q, w))
+
+
+def test_field_is_the_arc_factor_times_the_pressure_factor(reference_model):
+    # arc_grids, the product of the two factors, equals the one-step read
+    # rows x (diag((ell/L)^k) A) x columns that the factors split
+    m = reference_model
+    xi = np.linspace(0.0, 1.0, 26)
+    q = np.linspace(0.0, 21.0, 7)
+    for ell in (0.0, 137.5, m.L):
+        th, g = arc_grids(m, ell, xi, q)
+        A = np.power(ell / m.L, np.arange(m.v))[:, None] * m.A
+        B = _psi_rows(xi, m.v) @ A
+        np.testing.assert_array_equal(arc_factor(m, ell, xi), B)
+        np.testing.assert_array_equal(th, B @ _eta_cols(q, m.w))
+        np.testing.assert_array_equal(g, B @ deta_dq_cols_reference(q, m.w))
+    with pytest.raises(ValueError, match="arc length outside"):
+        arc_factor(m, 1.01 * m.L, xi)
 
 
 @settings(max_examples=30)
