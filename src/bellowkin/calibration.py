@@ -124,9 +124,10 @@ def load_calibration_csv(path) -> CalibrationDataset:
 
     Rows are grouped by pressure and ordered by point index.  A malformed
     row, a non-finite pressure or coordinate, a point index that is not an
-    integer, a point index repeated at one pressure, or one missing at
-    some pressure (every pressure must carry the same indices) raises
-    ValueError naming the row, numbered from 1 after the header as
+    integer, a point index repeated at one pressure, one missing at some
+    pressure (every pressure must carry the same indices), or a marker at
+    the position of the one before it (a zero-length backbone segment)
+    raises ValueError naming the row, numbered from 1 after the header as
     io.read_table numbers them.
     """
     data = read_table(path, ["pressure_psi", "point_index", "x", "z"],
@@ -159,8 +160,19 @@ def load_calibration_csv(path) -> CalibrationDataset:
         k = next(r for r, i in enumerate(idx.tolist()) if i not in common)
         raise ValueError(f"calibration CSV row {k + 1}: point_index "
                          f"{int(idx[k])} is not given at every pressure")
-    return CalibrationDataset.from_points(
-        pressures, np.split(data[order, 2:], starts[1:]))
+    pts = data[order, 2:]
+    # the zero-length segments tangents_from_points refuses, by its norm
+    dup = ((np.linalg.norm(np.diff(pts, axis=0), axis=-1) == 0.0)
+           & (qs[1:] == qs[:-1]))
+    if dup.any():
+        i = np.flatnonzero(dup)
+        i = i[np.argmin(order[i + 1])]
+        k, j = order[i + 1], order[i]
+        raise ValueError(f"calibration CSV row {k + 1}: point_index "
+                         f"{int(idx[k])} at pressure {q[k]:g} repeats the "
+                         f"position of point_index {int(idx[j])} "
+                         f"(row {j + 1})")
+    return CalibrationDataset.from_points(pressures, np.split(pts, starts[1:]))
 
 
 @dataclass

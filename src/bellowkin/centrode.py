@@ -7,6 +7,7 @@ center computed from sensed poses against the one predicted by the free
 model flags contact: a pinned backbone rotates about a different center.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,6 +139,25 @@ def fcd_detect(c_sensed: CentrodeTrace, c_model: CentrodeTrace, xi: float,
                            max_deviation=max_dev)
 
 
+def _nan_percentile(a: np.ndarray, p: float) -> float:
+    """The p-th percentile of the values of a that are not NaN (at least
+    one), bit for bit np.nanpercentile's default (linear) method: the
+    virtual index (n - 1) p / 100 into the sorted values, and numpy's lerp
+    between its two neighbours, taken from the upper one when the weight
+    t is at least 1/2.  np.nanpercentile itself imports numpy.ma on its
+    first call: 1.2 MB, and most of a fresh detect process's in-process
+    time."""
+    v = np.sort(a[~np.isnan(a)])
+    n = v.size
+    x = (n - 1) * (p / 100)
+    lo = min(math.floor(x), n - 1)
+    hi = min(lo + 1, n - 1)
+    t = x - lo
+    lo_v, hi_v = float(v[lo]), float(v[hi])
+    d = hi_v - lo_v
+    return hi_v - d * (1 - t) if t >= 0.5 else lo_v + d * t
+
+
 def default_threshold(c_sensed_free: CentrodeTrace,
                       c_model_free: CentrodeTrace) -> float:
     """Detection threshold from a contact-free ramp's noise floor.
@@ -147,7 +167,7 @@ def default_threshold(c_sensed_free: CentrodeTrace,
     DEFAULT_XI_PERCENTILE-th percentile.
     """
     dev = _aligned_deviations(c_sensed_free, c_model_free)
-    return DEFAULT_XI_FACTOR * float(np.nanpercentile(dev, DEFAULT_XI_PERCENTILE))
+    return DEFAULT_XI_FACTOR * _nan_percentile(dev, DEFAULT_XI_PERCENTILE)
 
 
 def write_pose_stream(path, stream: PoseStream):

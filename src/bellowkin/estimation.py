@@ -4,7 +4,10 @@ The sensed centrode after contact depends on where the backbone is pinned;
 sweeping a hypothesis s_c through the piecewise model predicts a centrode
 trace per hypothesis.  The estimate minimizes the weighted squared gap
 between sensed and predicted traces over the scalar unknown s_c by
-Levenberg-Marquardt.
+Levenberg-Marquardt.  Every hypothesis of one solve reads the same ramp,
+so estimate_contact builds its contact.RampPins (the ramp's pressure
+factor, pressure rate and onset check) once, and each LM evaluation
+builds only the hypothesis's arc factors.
 """
 
 from dataclasses import dataclass
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal
-from .centrode import CentrodeTrace, instant_centers
-from .contact import hypothesis_centrode_gradient, pinned_ramp
+from .centrode import CentrodeTrace
+from .contact import RampPins, pinned_ramp
 
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-3   # LU
@@ -91,22 +94,20 @@ def predicted_centrode(model: modal.ModalModel, s_c_hyp: float,
     formula.  Twist scale uses the ramp step as the pressure rate, matching
     the step-indexed differencing of sensed streams (the centrode itself is
     scale-invariant; only the validity threshold on omega is not).  The
-    whole ramp is one contact.pinned_ramp pass.
+    whole ramp is one hypothesis of contact.RampPins.
     """
-    _, _, k = pinned_ramp(model, s_c_hyp, _ramp_values(q_traj))
-    return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+    return RampPins(model, _ramp_values(q_traj)).centrode(s_c_hyp)
 
 
-def _residual(model: modal.ModalModel, s_c: float, q: np.ndarray,
-              sensed: CentrodeTrace):
-    """Stacked residual sensed - predicted at s_c, its derivative in s_c,
-    and the mask of samples valid on both sides.
+def _residual(pins: RampPins, s_c: float, sensed: CentrodeTrace):
+    """Stacked residual sensed - predicted at s_c on the pins' ramp, its
+    derivative in s_c, and the mask of samples valid on both sides.
 
     Rows interleave (x, z) per masked sample.
     """
-    if len(sensed.valid) != len(q):
+    if len(sensed.valid) != len(pins.q):
         raise ValueError("traces differ in length")
-    pred = hypothesis_centrode_gradient(model, s_c, q)
+    pred = pins.gradient(s_c)
     mask = sensed.valid & pred.valid
     if not np.any(mask):
         raise ValueError("no overlapping valid centrode samples")
@@ -127,13 +128,14 @@ def centrode_objective(model: modal.ModalModel, s_c: float, q_traj, sensed,
                        W=None) -> float:
     """Half the weighted squared centrode gap at hypothesis s_c."""
     q = _ramp_values(q_traj)
-    r, _, mask = _residual(model, s_c, q, _sensed_arrays(sensed))
+    r, _, mask = _residual(RampPins(model, q), s_c, _sensed_arrays(sensed))
     return 0.5 * float(r @ _apply_weight(r, _weights(W, len(q)), mask))
 
 
-def _objective_state(problem: EstimationProblem, s_c: float):
-    """Objective, scalar gradient, and Gauss-Newton curvature at s_c."""
-    r, J, mask = _residual(problem.model, s_c, problem.q_traj, problem.sensed)
+def _objective_state(problem: EstimationProblem, pins: RampPins, s_c: float):
+    """Objective, scalar gradient, and Gauss-Newton curvature at s_c, on
+    the pins of the problem's ramp."""
+    r, J, mask = _residual(pins, s_c, problem.sensed)
     Wr = _apply_weight(r, problem.W, mask)
     obj = 0.5 * float(r @ Wr)
     g = float(J @ Wr)
@@ -150,13 +152,15 @@ def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
     bounds.  Stops on an accepted move below LM_STEP_TOL or a relative
     objective decrease below LM_OBJ_REL_TOL.
     Returns (s_c_est, report); report['converged'] is False when max_iter
-    runs out, with the best iterate still reported.
+    runs out, with the best iterate still reported.  The ramp's pins are
+    built once per solve; each evaluation reads one hypothesis of them.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lo, hi = problem.bounds
     s_c = float(problem.s0)
-    obj, g, H = _objective_state(problem, s_c)
+    pins = RampPins(problem.model, problem.q_traj)
+    obj, g, H = _objective_state(problem, pins, s_c)
     lam = LM_LAMBDA0
     trace = [(0, s_c, obj)]
     converged = False
@@ -166,7 +170,7 @@ def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
         cand = float(np.clip(s_c - g / (H + lam), lo, hi))
         step = cand - s_c
         try:
-            cand_obj, cand_g, cand_H = _objective_state(problem, cand)
+            cand_obj, cand_g, cand_H = _objective_state(problem, pins, cand)
         except ValueError:
             lam *= 10.0
             trace.append((it, s_c, obj))

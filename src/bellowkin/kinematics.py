@@ -4,9 +4,12 @@ arc_kinematics integrates a tangent field over an arc from a base point:
 the end pose and twist at every pressure of a ramp.  ramp_kinematics is
 the free backbone, the arc [0, L] from the origin; tip_pose, jacobian and
 resolved_rates read single samples of it.  The field on an arc is the
-product of a pressure-free arc factor and a pressure factor
-(modal.arc_factor, modal._field): resolved_rates builds the free arc's
-factor once per solve, and each iteration reads one pressure column of it.
+product of a pressure-free arc factor and an arc-free pressure factor
+(modal.arc_factor, modal.pressure_factor, modal._field), and arc_field
+takes the pressure factor prebuilt: resolved_rates builds the free arc's
+factor once per solve and reads one pressure column per iteration, and a
+caller that reads many arcs at one ramp (contact.RampPins) builds the
+ramp's pressure factor and the arc rule's psi rows (arc_rows) once.
 
 Positions live in the bending plane with coordinates (x, z); the tangent
 angle is measured from the +x axis, so a straight actuator lies along +x.
@@ -71,12 +74,23 @@ def _warn_extrapolation(model, q):
                       stacklevel=3)
 
 
-def arc_field(model: modal.ModalModel, ell: float, q):
-    """The field over the arc [0, ell] at the pressures q, on the arc
-    rule: theta and dtheta/dq at the rows (0, ell, nodes...), each of
-    shape (2 + nodes, len(q)), and the weights of the nodes."""
-    th, g = modal.arc_grids(model, ell, _ARC_ROWS, q)
-    return th, g, ell * XI_W
+def arc_rows(model: modal.ModalModel) -> np.ndarray:
+    """psi at the arc rule's rows (0, 1, nodes...) on [0, 1]: the part of
+    every arc factor that depends on neither the arc nor the pressure;
+    shape (2 + nodes, v)."""
+    return modal._psi_rows(_ARC_ROWS, model.v)
+
+
+def arc_field(model: modal.ModalModel, ell: float, P, psi=None):
+    """The field over the arc [0, ell] at the pressure factor P
+    (modal.pressure_factor), on the arc rule: theta and, when P carries
+    deta/dq, dtheta/dq at the rows (0, ell, nodes...), each of shape
+    (2 + nodes, len(q)), then the weights of the nodes.  psi is
+    arc_rows(model) when already at hand."""
+    if psi is None:
+        psi = arc_rows(model)
+    B = psi @ modal.arc_coefficients(model, ell)
+    return (*modal._field(B, P), ell * XI_W)
 
 
 class RampKinematics(NamedTuple):
@@ -113,7 +127,8 @@ def arc_kinematics(th, g, wts, x0=0.0, z0=0.0, qdot=1.0) -> RampKinematics:
 def ramp_kinematics(model: modal.ModalModel, q, qdot=1.0) -> RampKinematics:
     """Free tip poses and twists at every pressure of q, twists at rate
     qdot: the arc [0, L] from the origin, from one field evaluation."""
-    return arc_kinematics(*arc_field(model, model.L, q), qdot=qdot)
+    P = modal.pressure_factor(model, q)
+    return arc_kinematics(*arc_field(model, model.L, P), qdot=qdot)
 
 
 def tip_pose(model: modal.ModalModel, q: float) -> PlanarPose:
@@ -176,7 +191,8 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     converged = stalled = False
     for i in range(max_iter + 1):
         # one kernel sample gives the tip position and its Jacobian
-        k = arc_kinematics(*modal._field(B, [q]), wts)
+        k = arc_kinematics(*modal._field(B, modal.pressure_factor(model, [q])),
+                           wts)
         x, z = float(k.x[0]), float(k.z[0])
         e = x_des - np.array([x, z])
         err = float(np.hypot(e[0], e[1]))

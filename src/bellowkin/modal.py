@@ -5,13 +5,15 @@ with monomial bases psi = (1, s, ..., s^(v-1)) in arc length and
 eta = (1, q, ..., q^(w-1)) in pressure.  Coefficients are stored against the
 normalized arc coordinate s/L, which keeps the arc-length Vandermonde well
 conditioned when L is hundreds of length units; evaluation accepts
-unnormalized arc length.  Every read goes through one evaluator, the
-product of two factors: an arc factor, the arc rows times A, which does
-not depend on pressure, and a pressure factor, the columns eta(q) and
-deta/dq(q) from one power table.  A caller that reads one arc at many
-pressures, one at a time, builds the arc factor once (arc_factor) and
-multiplies it by each pressure factor (_field).  The one-pressure reads
-take a single column.
+unnormalized arc length.  Every read goes through one evaluator, _field,
+the product of two prebuilt factors: an arc factor, the arc rows times A,
+which does not depend on pressure (arc_factor), and a pressure factor,
+the columns eta(q) and deta/dq(q) from one power table, which does not
+depend on the arc (pressure_factor).  A caller that reads one arc at many
+pressures, one at a time, builds the arc factor once; one that reads
+many arcs at one ramp of pressures builds the pressure factor once.  A
+caller that holds only q builds the factor in one line.  The
+one-pressure reads take a single column.
 """
 
 import json
@@ -134,15 +136,21 @@ def _pressure_cols(q: np.ndarray, w: int) -> tuple:
     return eta, deta
 
 
-def _field(B: np.ndarray, q, deriv: bool = True) -> tuple:
-    """The field's one evaluator: an arc factor B (n, w), arc rows times
-    the coefficients A, times the pressure factor at the pressures q.
-    Returns theta and, with deriv, dtheta/dq, each of shape (n, len(q));
-    B's rows are not range-checked here."""
+def pressure_factor(model: ModalModel, q, deriv: bool = True) -> tuple:
+    """The arc-free factor of the field at the pressures q: the columns
+    eta(q) and, with deriv, deta/dq(q), each of shape (w, len(q)), from
+    one power table.  _field(B, pressure_factor(model, q)) reads theta and
+    dtheta/dq on the arc factor B's rows at those pressures."""
     q = np.asarray(q, dtype=float)
-    w = B.shape[1]
-    cols = _pressure_cols(q, w) if deriv else (_eta_cols(q, w),)
-    return tuple(B @ c for c in cols)
+    return _pressure_cols(q, model.w) if deriv else (_eta_cols(q, model.w),)
+
+
+def _field(B: np.ndarray, P: tuple) -> tuple:
+    """The field's one evaluator: an arc factor B (n, w), arc rows times
+    the coefficients A, times a pressure factor P (pressure_factor).
+    Returns theta and, when P carries deta/dq, dtheta/dq, each of shape
+    (n, len(q)); B's rows are not range-checked here."""
+    return tuple(B @ c for c in P)
 
 
 def _checked_factor(model: ModalModel, s) -> np.ndarray:
@@ -152,46 +160,38 @@ def _checked_factor(model: ModalModel, s) -> np.ndarray:
                      model.v) @ model.A
 
 
-def arc_factor(model: ModalModel, ell: float, xi) -> np.ndarray:
-    """The pressure-free factor of the field on the arc samples ell * xi,
-    for reference rows xi on [0, 1]: psi(xi)^T diag((ell / L)^k) A, shape
-    (len(xi), w).  _field(arc_factor(...), q) reads theta and dtheta/dq
-    on that arc at the pressures q.
-
-    psi(ell xi / L) is the Vandermonde of xi times the diagonal
-    (ell / L)^k, which is folded into A, so of the arc only ell is
-    range-checked.
-    """
+def arc_coefficients(model: ModalModel, ell: float) -> np.ndarray:
+    """The coefficients of the field on the arc [0, ell] against
+    reference rows on [0, 1]: diag((ell / L)^k) A, shape (v, w).  Only
+    ell is range-checked."""
     # _check_s's bounds on the one float, without its array round trip
     ell, L = float(ell), model.L
     if not -_S_TOL * L <= ell <= L + _S_TOL * L:
         raise ValueError(f"arc length outside [0, {L}]")
     ell = min(max(ell, 0.0), L)
-    A = np.power(ell / L, np.arange(model.v))[:, None] * model.A
-    return _psi_rows(xi, model.v) @ A
+    return np.power(ell / L, np.arange(model.v))[:, None] * model.A
 
 
-def arc_grids(model: ModalModel, ell: float, xi, q):
-    """theta and dtheta/dq on the outer grid of the arc samples ell * xi
-    x the pressures q, for reference rows xi on [0, 1]: the arc factor
-    times the pressure factor.  Returns two arrays of shape
-    (len(xi), len(q))."""
-    return _field(arc_factor(model, ell, xi), q)
+def arc_factor(model: ModalModel, ell: float, xi) -> np.ndarray:
+    """The pressure-free factor of the field on the arc samples ell * xi,
+    for reference rows xi on [0, 1]: psi(xi)^T diag((ell / L)^k) A, shape
+    (len(xi), w).  _field(arc_factor(...), pressure_factor(model, q))
+    reads theta and dtheta/dq on that arc at the pressures q.
 
-
-def ds_grids(model: ModalModel, s_hat, q):
-    """dtheta/ds and d2theta/(ds dq) on the outer grid of the normalized
-    arc rows s_hat x the pressures q; two arrays of shape
-    (len(s_hat), len(q)).  The rows are not range-checked: the caller
-    has placed them on [0, 1]."""
-    return tuple(g / model.L
-                 for g in _field(_dpsi_rows(s_hat, model.v) @ model.A, q))
+    psi(ell xi / L) is the Vandermonde of xi times the diagonal
+    (ell / L)^k, which is folded into A (arc_coefficients), so of the arc
+    only ell is range-checked.  A caller that reads many arcs on the same
+    rows keeps _psi_rows(xi, v) and multiplies it by each arc's
+    coefficients.
+    """
+    return _psi_rows(xi, model.v) @ arc_coefficients(model, ell)
 
 
 def theta_grid(model: ModalModel, s, q) -> np.ndarray:
     """Tangent angles on the outer grid of arc samples x pressure samples;
     shape (len(s), len(q))."""
-    return _field(_checked_factor(model, s), q, deriv=False)[0]
+    return _field(_checked_factor(model, s),
+                  pressure_factor(model, q, deriv=False))[0]
 
 
 def _column(grid: np.ndarray, s):
@@ -203,12 +203,14 @@ def _column(grid: np.ndarray, s):
 def theta(model: ModalModel, s, q):
     """Tangent angle psi(s)^T A eta(q), radians, at one pressure.  s may be
     an array."""
-    return _column(_field(_checked_factor(model, s), [q], deriv=False)[0], s)
+    return _column(_field(_checked_factor(model, s),
+                          pressure_factor(model, [q], deriv=False))[0], s)
 
 
 def dtheta_dq(model: ModalModel, s, q):
     """Pressure sensitivity psi(s)^T A deta_dq(q) at one pressure."""
-    return _column(_field(_checked_factor(model, s), [q])[1], s)
+    return _column(_field(_checked_factor(model, s),
+                          pressure_factor(model, [q]))[1], s)
 
 
 def in_calibrated_range(model: ModalModel, q) -> bool:

@@ -4,6 +4,9 @@ Streams are quasi-static: pressure steps play the role of time, one sample
 per step.  Simulated contact freezes the proximal shape at onset and keeps
 the distal portion bending, so a sensed stream diverges from the free-model
 prediction and the centrode machinery can detect and localize the pin.
+The sweep reads every location off one contact.RampPins: the ramp's
+pressure factor and onset check are built once per sweep, and each
+location builds only its pin's and distal arc's factors.
 """
 
 from dataclasses import dataclass
@@ -12,8 +15,8 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, PoseStream, instant_centers
-from .contact import contact_kinematics, freeze
-from .estimation import predicted_centrode
+from .contact import RampPins, contact_kinematics, freeze
+from .estimation import _ramp_values
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 
 # the ramp kernel holds three (field rows x samples) float arrays at a
@@ -154,17 +157,20 @@ def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
     """ISA-difference index per contact location, in the given order: the
     max distance between the contacted and the free centrode over the ramp.
 
-    The free centrode is computed once and shared by every location.
-    s_c = 0 pins the clamped base itself: the backbone is unchanged and the
-    two centrodes coincide, so the index is exactly zero.
+    The free centrode and the ramp's pins (contact.RampPins) are built
+    once and shared by every location; each location's centrode is the
+    one estimation.predicted_centrode gives, bit for bit.  s_c = 0 pins
+    the clamped base itself: the backbone is unchanged and the two
+    centrodes coincide, so the index is exactly zero.
     """
     q, _ = _pressures(ramp)
     free = model_centrode(model, ramp)
+    pins = RampPins(model, _ramp_values(q))
     rows = []
     for s_c in map(float, s_values):
         index = 0.0
         if s_c != 0.0:
-            pinned = predicted_centrode(model, s_c, q)
+            pinned = pins.centrode(s_c)
             both = free.valid & pinned.valid
             dist = np.hypot(pinned.cx - free.cx, pinned.cz - free.cz)
             index = float(np.max(dist[both], initial=0.0))

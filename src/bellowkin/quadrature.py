@@ -2,7 +2,7 @@
 
 The arc rule integrates the model's field over an arc: the tip pose and
 twist of kinematics.arc_kinematics, the pin's base pose in
-contact.station_pose, and the marker positions calibration.fit_modal
+contact.freeze, and the marker positions calibration.fit_modal
 checks its fit against.  It is one 24-point Gauss-Legendre panel (exact
 for polynomials up to degree 47); the tangent field is analytic in arc
 length, so one panel integrates it to round-off.  XI and XI_W are the

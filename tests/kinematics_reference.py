@@ -114,7 +114,7 @@ def contact_theta(model: modal.ModalModel, contact: ContactState, s, q: float):
     bellow's field shifted to start at the frozen tangent, which keeps the
     angle continuous across s_c for every q >= q_c.
     """
-    _check_q(contact, q)
+    _check_q(contact.q_c, q)
     s = model._check_s(s)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
@@ -180,7 +180,7 @@ def contact_tip_pose(model: modal.ModalModel, contact: ContactState, q: float,
                      n_panels: int = REFERENCE_PANELS) -> PlanarPose:
     """Tip pose of the contacted backbone; the frozen part contributes
     base_pose_c, the distal part a quadrature over the remaining arc."""
-    _check_q(contact, q)
+    _check_q(contact.q_c, q)
     ell = model.L - contact.s_c
     field = _distal_field(model, contact, q)
     base = contact.base_pose_c
@@ -202,7 +202,7 @@ def contact_jacobian(model: modal.ModalModel, contact: ContactState, q: float,
     node layout as contact_tip_pose, so this is the exact derivative of the
     discrete tip position.
     """
-    _check_q(contact, q)
+    _check_q(contact.q_c, q)
     ell = model.L - contact.s_c
     if ell == 0.0:
         return np.zeros(3)

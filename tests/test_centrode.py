@@ -9,6 +9,7 @@ from bellowkin.centrode import (
     CentrodeTrace,
     PoseStream,
     _aligned_deviations,
+    _nan_percentile,
     centrode_from_stream,
     default_threshold,
     fcd_detect,
@@ -272,3 +273,21 @@ def test_fcd_matches_plain_loop(data, n, window):
     assert res.detected is (onset is not None)
     assert res.onset_t == (-1 if onset is None else t[onset])
     assert res.max_deviation == max(d for d, v in zip(devs, valid) if v)
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.one_of(st.floats(0.0, 1e6), st.just(math.nan),
+                                 st.just(math.inf)), max_size=40),
+       kept=st.floats(0.0, 1e3),
+       p=st.one_of(st.just(95.0), st.floats(0.0, 100.0)))
+def test_nan_percentile_is_numpys(values, kept, p):
+    # the default threshold's percentile, bit for bit np.nanpercentile's
+    # linear method, NaNs (dropped) and infinities included
+    a = np.array(values + [kept])
+    with np.errstate(invalid="ignore"):
+        want = np.nanpercentile(a, p)
+    got = _nan_percentile(a, p)
+    assert type(got) is float
+    assert np.array_equal(got, want, equal_nan=True)
+    if not math.isnan(want):
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)

@@ -188,6 +188,31 @@ def test_calibrate_repeated_point_index_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_duplicate_consecutive_marker_exit_1(tmp_path, capsys):
+    # the 6-Psi marker 4 of the shipped data set to marker 3's position: a
+    # zero-length backbone segment, named by row and pressure like every
+    # other row error
+    lines = open(DATA_CSV).read().splitlines()
+    assert lines[14].startswith("6,3,") and lines[15].startswith("6,4,")
+    lines[15] = "6,4," + lines[14][len("6,3,"):]
+    bad = tmp_path / "duplicate.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--input", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("calibrate: calibration CSV row 15: point_index 4 at "
+                   "pressure 6 repeats the position of point_index 3 "
+                   "(row 14)\n")
+    assert not out.exists()
+    # the same pair in reverse file order names the later marker's row
+    lines[14], lines[15] = lines[15], lines[14]
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["calibrate", "--input", str(bad), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "calibrate: calibration CSV row 14: point_index 4 at pressure 6 "
+        "repeats the position of point_index 3 (row 15)\n")
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_calibrate_rejects_bad_unit_scale(tmp_path, capsys, scale):
     out = tmp_path / "cal"
@@ -593,18 +618,22 @@ def test_detection_reports_onset_at_most_two_samples_early(reference_model):
                 assert 0 <= gap <= ONSET_GUARD - 1, (step, s_c, q_c, gap)
 
 
-def imported_by_cli(*packages):
+def imported_by_cli(*packages, argv=None):
     """Modules of the given top-level packages loaded by importing the CLI
-    in a fresh interpreter."""
+    in a fresh interpreter and, given argv, running one stage on it (which
+    must exit 0)."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, bellowkin.cli; "
-            "print(sorted(m for m in sys.modules "
-            f"if m.split('.')[0] in {packages!r}))")
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    code = "import sys, bellowkin.cli; "
+    if argv is not None:
+        code += f"assert bellowkin.cli.main({[str(a) for a in argv]!r}) == 0; "
+    code += ("print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {packages!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -621,3 +650,14 @@ def test_cli_import_loads_no_numpy_polynomial():
     # the Gauss-Legendre rules are written out: importing numpy.polynomial
     # cost every CLI call about 0.7 MB and 4 ms
     assert "numpy.polynomial" not in imported_by_cli("numpy")
+
+
+def test_detect_loads_no_numpy_ma(workdir, tmp_path):
+    # the default threshold's percentile is taken without np.nanpercentile,
+    # whose first call imports numpy.ma: 1.2 MB in every fresh detect
+    loaded = imported_by_cli("numpy", argv=[
+        "detect", "--model", workdir["model"], "--stream",
+        os.path.join(workdir["sim"], "pose_stream.csv"),
+        "--out-dir", tmp_path / "det"])
+    assert "'numpy.ma'" not in loaded
+    assert (tmp_path / "det" / "detection.json").is_file()

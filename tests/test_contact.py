@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellowkin.contact import (ContactState, contact_kinematics,
-                               contact_tip_pose, freeze, station_pose)
+                               contact_tip_pose, freeze)
 from bellowkin.kinematics import (arc_field, arc_kinematics, jacobian,
                                   tip_pose, wrap_angle)
-from bellowkin.modal import ModalModel, theta
+from bellowkin.modal import ModalModel, pressure_factor, theta
 from bellowkin.synthetic import cumulative_stations
 from tests.conftest import make_random_model
 from tests.kinematics_reference import contact_theta, pose_at
@@ -38,15 +38,17 @@ def test_freeze_zero_model():
 
 
 def test_station_pose_is_the_arc_kernel_pose(reference_model):
-    # station_pose keeps pose-only sums of its own; they are the pose the
-    # arc kernel integrates over [0, s_c] at q_c, to within an ulp
+    # freeze keeps pose-only sums of its own for the contact station;
+    # they are the pose the arc kernel integrates over [0, s_c] at q_c, to
+    # within an ulp
     rng = np.random.default_rng(18)
     models = [reference_model] + [make_random_model(rng) for _ in range(4)]
     for model in models:
         for s_c, q_c in zip(rng.uniform(0.0, model.L, 200),
                             rng.uniform(0.0, 25.0, 200)):
-            pose = station_pose(model, q_c, s_c)
-            k = arc_kinematics(*arc_field(model, s_c, [q_c]))
+            pose = freeze(model, q_c, s_c).base_pose_c
+            k = arc_kinematics(*arc_field(model, s_c,
+                                          pressure_factor(model, [q_c])))
             for got, ref in ((pose.x, k.x[0]), (pose.z, k.z[0]),
                              (pose.theta, k.theta[0])):
                 assert abs(got - ref) <= np.spacing(abs(ref)), (s_c, q_c)

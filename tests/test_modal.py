@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from bellowkin.calibration import build_design_matrices, tangents_from_points
 from bellowkin.modal import (
     ModalModel,
+    _dpsi_rows,
     _eta_cols,
+    _field,
     _pressure_cols,
     _psi_rows,
+    arc_coefficients,
     arc_factor,
-    arc_grids,
-    ds_grids,
     dtheta_dq,
     in_calibrated_range,
+    pressure_factor,
     theta,
     theta_grid,
 )
@@ -100,13 +102,16 @@ def test_dtheta_dq_matches_finite_difference(reference_model):
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
-def test_ds_grids_match_arc_differences(reference_model):
-    # d theta/ds and d2 theta/(ds dq) on normalized rows, against central
-    # differences in s of theta and dtheta/dq
+def test_dpsi_factor_matches_arc_differences(reference_model):
+    # d theta/ds and d2 theta/(ds dq) as the pin gradient reads them: the
+    # dpsi rows at normalized arc samples times A times the pressure
+    # factor, over L; against central differences in s of theta and
+    # dtheta/dq
     m, h = reference_model, 1e-3
     s = np.array([1.0, 125.0, 333.0, 499.0])
     q = np.array([2.0, 10.0, 19.0])
-    curv, mixed = ds_grids(m, s / m.L, q)
+    curv, mixed = (g / m.L for g in _field(_dpsi_rows(s / m.L, m.v) @ m.A,
+                                           pressure_factor(m, q)))
     assert curv.shape == mixed.shape == (s.size, q.size)
     for j, qj in enumerate(q):
         fd = (theta(m, s + h, qj) - theta(m, s - h, qj)) / (2 * h)
@@ -154,18 +159,26 @@ def test_pressure_cols_match_the_former_builders(q, w):
     eta, deta = _pressure_cols(q, w)
     np.testing.assert_array_equal(eta, _eta_cols(q, w))
     np.testing.assert_array_equal(deta, deta_dq_cols_reference(q, w))
+    # the prebuilt factor is the same columns; without deriv, eta alone
+    m = ModalModel(A=np.zeros((2, w)), L=1.0)
+    for got, ref in zip(pressure_factor(m, q.tolist()), (eta, deta)):
+        np.testing.assert_array_equal(got, ref)
+    theta_only = pressure_factor(m, q, deriv=False)
+    assert len(theta_only) == 1
+    np.testing.assert_array_equal(theta_only[0], eta)
 
 
 def test_field_is_the_arc_factor_times_the_pressure_factor(reference_model):
-    # arc_grids, the product of the two factors, equals the one-step read
+    # the product of the two prebuilt factors equals the one-step read
     # rows x (diag((ell/L)^k) A) x columns that the factors split
     m = reference_model
     xi = np.linspace(0.0, 1.0, 26)
     q = np.linspace(0.0, 21.0, 7)
     for ell in (0.0, 137.5, m.L):
-        th, g = arc_grids(m, ell, xi, q)
+        th, g = _field(arc_factor(m, ell, xi), pressure_factor(m, q))
         A = np.power(ell / m.L, np.arange(m.v))[:, None] * m.A
         B = _psi_rows(xi, m.v) @ A
+        np.testing.assert_array_equal(arc_coefficients(m, ell), A)
         np.testing.assert_array_equal(arc_factor(m, ell, xi), B)
         np.testing.assert_array_equal(th, B @ _eta_cols(q, m.w))
         np.testing.assert_array_equal(g, B @ deta_dq_cols_reference(q, m.w))

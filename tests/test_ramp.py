@@ -8,8 +8,9 @@ import pytest
 from bellowkin import modal, pipeline, quadrature, synthetic
 from bellowkin.calibration import fit_modal
 from bellowkin.centrode import instant_centers
-from bellowkin.contact import (ContactState, contact_kinematics, freeze,
-                               hypothesis_centrode_gradient, pinned_ramp)
+from bellowkin.contact import (ContactState, RampPins, contact_kinematics,
+                               freeze, hypothesis_centrode_gradient,
+                               pinned_ramp)
 from bellowkin.estimation import predicted_centrode
 from bellowkin.kinematics import (PlanarPose, ramp_kinematics, wrap_angle,
                                   wrap_angles)
@@ -155,11 +156,31 @@ def test_kernel_checks_only_the_arc_length(reference_model, monkeypatch):
     assert laid_out == []
 
 
+def count_builds(monkeypatch):
+    """Record each pressure-factor build (the size of its ramp) and each
+    arc factor built, wherever the package builds them."""
+    built, arcs = [], []
+    factor, coefficients = modal.pressure_factor, modal.arc_coefficients
+
+    def counting_factor(model, q, *args, **kwargs):
+        built.append(np.size(q))
+        return factor(model, q, *args, **kwargs)
+
+    def counting_coefficients(*args, **kwargs):
+        arcs.append(1)
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "pressure_factor", counting_factor)
+    monkeypatch.setattr(modal, "arc_coefficients", counting_coefficients)
+    return built, arcs
+
+
 def test_gradient_reads_the_field_once_beyond_its_pin(reference_model,
                                                     monkeypatch):
-    # the pin's curvature and the arc end's d2theta/(ds dq) are one field
-    # read on top of pinned_ramp's two arc passes (pin and kernel), and
-    # none of the three range-checks an arc sample
+    # a ramp's pins build its pressure factor once; each hypothesis then
+    # reads the field three times on it (pin, distal arc, and the pin's
+    # curvature with the arc end's d2theta/(ds dq)), builds its two arc
+    # factors and no pressure factor, and range-checks no arc sample
     reads, checked = [], []
     field, check_s = modal._field, modal.ModalModel._check_s
 
@@ -171,14 +192,21 @@ def test_gradient_reads_the_field_once_beyond_its_pin(reference_model,
         checked.append(np.size(s))
         return check_s(self, s)
 
+    built, arcs = count_builds(monkeypatch)
     monkeypatch.setattr(modal, "_field", counting_field)
     monkeypatch.setattr(modal.ModalModel, "_check_s", counting_check)
     q = PressureRamp(5.0, 20.0, 0.05).values
     pinned_ramp(reference_model, 100.0, q)
-    assert len(reads) == 2
-    reads.clear()
+    assert (len(reads), built, len(arcs)) == (2, [q.size], 2)
+    reads.clear(), built.clear(), arcs.clear()
     hypothesis_centrode_gradient(reference_model, 100.0, q)
-    assert len(reads) == 3
+    assert (len(reads), built, len(arcs)) == (3, [q.size], 2)
+    reads.clear(), built.clear(), arcs.clear()
+    pins = RampPins(reference_model, q)
+    assert built == [q.size]
+    for n, s_c in enumerate((100.0, 37.5, 420.0, 250.0), start=1):
+        pins.gradient(s_c)
+        assert (len(reads), built, len(arcs)) == (3 * n, [q.size], 2 * n)
     assert checked == []
 
 
@@ -342,33 +370,26 @@ def test_add_noise_matches_per_sample_draws(reference_model, sigma_pos,
 
 
 def test_sweep_evaluates_free_ramp_once(reference_model, monkeypatch):
-    # regression guard: the free centrode is shared by every location, and
-    # each location adds a fixed number of field evaluations
-    grid_calls, free_calls = [], []
-    arc_grids, free_kernel = modal.arc_grids, pipeline.ramp_kinematics
-
-    def counting_grid(*args, **kwargs):
-        grid_calls.append(1)
-        return arc_grids(*args, **kwargs)
+    # regression guard: the free centrode and the ramp's pins are shared
+    # by every location, so a sweep builds the ramp's pressure factor
+    # twice (free kernel, pins) whatever its length, and each location
+    # adds only its two arc factors (pin, distal arc)
+    free_calls = []
+    free_kernel = pipeline.ramp_kinematics
 
     def counting_kernel(*args, **kwargs):
         free_calls.append(1)
         return free_kernel(*args, **kwargs)
 
-    monkeypatch.setattr(modal, "arc_grids", counting_grid)
+    built, arcs = count_builds(monkeypatch)
     # the free kernel call is looked up in pipeline (model_centrode)
     monkeypatch.setattr(pipeline, "ramp_kinematics", counting_kernel)
     r = PressureRamp(5.0, 20.0, 0.05)
-    counts = []
-    for n in (1, 5, 9):
-        grid_calls.clear()
-        free_calls.clear()
+    for n in (1, 5, 9, 50):
+        free_calls.clear(), built.clear(), arcs.clear()
         s_values = np.linspace(40.0, 440.0, n)
         rows = pipeline.sweep(reference_model, r, s_values)
         assert [s for s, _ in rows] == list(s_values)
         assert len(free_calls) == 1
-        counts.append(len(grid_calls))
-    per_location = (counts[1] - counts[0]) / 4
-    assert per_location >= 1
-    assert counts[2] - counts[1] == 4 * per_location
-    assert counts[0] - per_location == 1  # the one free evaluation
+        assert built == [r.values.size] * 2
+        assert len(arcs) == 1 + 2 * n
