@@ -17,6 +17,7 @@ from bellowkin import centrode as ct
 from bellowkin import estimation as est
 from bellowkin import pipeline as pl
 from bellowkin.calibration import fit_modal, load_calibration_csv
+from bellowkin.cli import ONSET_GUARD
 from bellowkin.kinematics import resolved_rates, tip_pose
 
 
@@ -57,6 +58,9 @@ def main():
     sub = stream.rows(slice(det.onset_t, None))
     q_traj = sub.q
     sensed_sub = ct.centrode_from_stream(sub)
+    # the window's first samples are left out of the fit, as estimate does
+    sensed_sub.valid[:ONSET_GUARD] = False
+    sensed_sub.cx[:ONSET_GUARD] = sensed_sub.cz[:ONSET_GUARD] = np.nan
     end_pose = (float(sub.x[-1]), float(sub.z[-1]))
     for s0 in (200.0, 20.0):
         t0 = time.time()

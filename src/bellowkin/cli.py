@@ -22,7 +22,7 @@ from . import centrode as ct
 from . import estimation as est
 from . import pipeline as pl
 from .calibration import RankDeficientError, fit_modal, load_calibration_csv
-from .io import write_columns, write_json
+from .io import write_columns, write_json, write_text
 from .modal import DEFAULT_UNIT_SCALE, ModalModel
 
 EXIT_OK = 0
@@ -56,19 +56,20 @@ def _parse_bounds(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _out(args, name: str) -> str:
+def _out_dir(args):
+    """Path maker for a stage's artifacts.  Called once per stage, when its
+    results are at hand, so a stage that fails first leaves no out-dir."""
     os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    return functools.partial(os.path.join, args.out_dir)
 
 
 def cmd_calibrate(args) -> int:
     dataset = load_calibration_csv(args.input)
     model, report = fit_modal(dataset, v=args.v, w=args.w,
                               unit_scale=args.unit_scale)
-    with open(_out(args, "model.json"), "w", newline="\n") as f:
-        f.write(model.to_json() + "\n")
-    with open(_out(args, "fit_report.json"), "w", newline="\n") as f:
-        f.write(report.to_json() + "\n")
+    out = _out_dir(args)
+    write_text(out("model.json"), model.to_json() + "\n")
+    write_text(out("fit_report.json"), report.to_json() + "\n")
     print(f"calibrated v={model.v} w={model.w} L={model.L:.6g}; "
           f"max point residual {report.max_point_err_mm:.4g} mm")
     return EXIT_OK
@@ -87,10 +88,10 @@ def cmd_simulate(args) -> int:
     if args.noise_pos != 0 or args.noise_ang != 0:
         stream = pl.add_noise(stream, args.noise_pos, args.noise_ang,
                               seed=args.seed)
-    ct.write_pose_stream(_out(args, "pose_stream.csv"), stream)
+    out = _out_dir(args)
+    ct.write_pose_stream(out("pose_stream.csv"), stream)
     if contact_state is not None:
-        with open(_out(args, "contact_state.json"), "w", newline="\n") as f:
-            f.write(contact_state.to_json() + "\n")
+        write_text(out("contact_state.json"), contact_state.to_json() + "\n")
     print(f"wrote {stream.t.size} samples")
     return EXIT_OK
 
@@ -126,9 +127,10 @@ def cmd_detect(args) -> int:
     q_at_onset = (float(stream.q[_row_of_t(stream, detection.onset_t,
                                            "onset_t")])
                   if detection.detected else None)
-    ct.write_centrode(_out(args, "sensed_centrode.csv"), sensed, stream.t)
-    ct.write_centrode(_out(args, "model_centrode.csv"), model_trace, stream.t)
-    write_json(_out(args, "detection.json"), {
+    out = _out_dir(args)
+    ct.write_centrode(out("sensed_centrode.csv"), sensed, stream.t)
+    ct.write_centrode(out("model_centrode.csv"), model_trace, stream.t)
+    write_json(out("detection.json"), {
         "detected": detection.detected,
         "onset_t": int(detection.onset_t) if detection.detected else None,
         "q_at_onset": q_at_onset,
@@ -166,14 +168,15 @@ def cmd_estimate(args) -> int:
         bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
     # raises when no sample is valid on both the sensed and model side
     s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
-    write_json(_out(args, "estimation.json"), {
+    out = _out_dir(args)
+    write_json(out("estimation.json"), {
         "s_c_est": report["s_c_est"],
         "iterations": report["iterations"],
         "final_objective": report["final_objective"],
         "end_tip_error_LU": report["end_tip_error_LU"],
         "converged": report["converged"],
     })
-    write_columns(_out(args, "estimate_iters.csv"), ["iter", "s_c", "objective"],
+    write_columns(out("estimate_iters.csv"), ["iter", "s_c", "objective"],
                   ["%d", "%.17g", "%.17g"], list(zip(*report["trace"])))
     print(f"s_c_est={s_c_est:.6g} iterations={report['iterations']} "
           f"end_tip_error_LU={report['end_tip_error_LU']:.6g} "
@@ -192,7 +195,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--s-values {','.join(f'{s:g}' for s in outside)} "
                          f"outside [0, {model.L:g})")
     rows = pl.sweep(model, ramp, s_values)
-    write_columns(_out(args, "sweep.csv"), ["s_c", "max_isa_diff"],
+    write_columns(_out_dir(args)("sweep.csv"), ["s_c", "max_isa_diff"],
                   ["%.17g", "%.17g"], list(zip(*rows)))
     for s_c, val in rows:
         print(f"s_c={s_c:g}: max ISA difference {val:.6g}")

@@ -207,6 +207,15 @@ def estimate_contact(problem: EstimationProblem, max_iter: int = LM_MAX_ITER):
     return s_c, report
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty array without NaN, bit for bit: the middle
+    value, or the mean of the middle two.  np.median and np.nanmedian both
+    import numpy.ma (1.2 MB) on their first call."""
+    v = np.sort(a)
+    h = v.size // 2
+    return float(v[h] if v.size % 2 else (v[h - 1] + v[h]) / 2)
+
+
 def speed_weights(sensed) -> np.ndarray:
     """Per-sample weights that de-emphasize fast-moving sensed centrodes.
 
@@ -222,7 +231,7 @@ def speed_weights(sensed) -> np.ndarray:
         speed[1:-1] = 0.5 * (d[:-1] + d[1:])
         speed[0], speed[-1] = d[0], d[-1]
     finite = np.isfinite(speed)
-    scale = float(np.nanmedian(speed[finite])) if np.any(finite) else 1.0
+    scale = _median(speed[finite]) if np.any(finite) else 1.0
     scale = scale if scale > 0 else 1.0
     w = np.ones(len(pts))
     w[finite] = 1.0 / (1.0 + (speed[finite] / scale) ** 2)

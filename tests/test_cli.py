@@ -661,3 +661,51 @@ def test_detect_loads_no_numpy_ma(workdir, tmp_path):
         "--out-dir", tmp_path / "det"])
     assert "'numpy.ma'" not in loaded
     assert (tmp_path / "det" / "detection.json").is_file()
+
+
+def test_estimate_speed_weights_loads_no_numpy_ma(workdir, tmp_path):
+    # the speed scale is the median of finite speeds, so np.median serves;
+    # np.nanmedian's small-array path imports numpy.ma
+    loaded = imported_by_cli("numpy", argv=[
+        "estimate", "--model", workdir["model"], "--stream",
+        os.path.join(workdir["sim"], "pose_stream.csv"), "--s0", "200",
+        "--speed-weights", "--out-dir", tmp_path / "est"])
+    assert "'numpy.ma'" not in loaded
+    assert (tmp_path / "est" / "estimation.json").is_file()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_rerun_into_one_out_dir_matches_a_fresh_run(workdir, tmp_path, stage):
+    # artifacts are rewritten in place; a second, shorter run must leave
+    # exactly what a run into a fresh directory writes
+    model = workdir["model"]
+    streams = {}
+    for ramp in ("5:20:0.05", "5:6:0.05"):
+        streams[ramp] = str(tmp_path / ramp.replace(":", "_"))
+        assert run(["simulate", "--model", model, "--ramp", ramp, "--contact",
+                    "100@5", "--out-dir", streams[ramp]]) == 0
+    long_stream, short_stream = (os.path.join(streams[r], "pose_stream.csv")
+                                 for r in ("5:20:0.05", "5:6:0.05"))
+    longer, shorter = {
+        "calibrate": (["--input", DATA_CSV],
+                      ["--input", DATA_CSV, "--v", "2", "--w", "2"]),
+        "simulate": (["--model", model, "--ramp", "5:20:0.05", "--contact", "100@5"],
+                     ["--model", model, "--ramp", "5:6:0.05", "--contact", "100@5"]),
+        "detect": (["--model", model, "--stream", long_stream],
+                   ["--model", model, "--stream", short_stream]),
+        "estimate": (["--model", model, "--stream", long_stream, "--s0", "200"],
+                     ["--model", model, "--stream", short_stream, "--s0", "200"]),
+        "sweep": (["--model", model, "--ramp", "5:20:0.05", "--s-values",
+                   "0,50,100,150,200,250,300,350,400"],
+                  ["--model", model, "--ramp", "5:20:0.05", "--s-values", "0,50"]),
+    }[stage]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run([stage, *longer, "--out-dir", str(reused)]) in (0, 3)
+    first = {p.name: p.stat().st_size for p in reused.iterdir()}
+    rc = run([stage, *shorter, "--out-dir", str(reused)])
+    assert run([stage, *shorter, "--out-dir", str(fresh)]) == rc
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(first)
+    assert any((fresh / n).stat().st_size < first[n] for n in names)
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -5,6 +5,7 @@ from bellowkin.centrode import CentrodeTrace, centrode_from_stream
 from bellowkin.contact import freeze, hypothesis_centrode_gradient
 from bellowkin.estimation import (
     EstimationProblem,
+    _median,
     centrode_objective,
     estimate_contact,
     predicted_centrode,
@@ -223,6 +224,17 @@ def test_speed_weights_shape_and_range(reference_model, sensed_scenario):
     w = speed_weights(sensed)
     assert len(w) == len(sensed.valid)
     assert np.all(w > 0) and np.all(w <= 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 599, 600, 1001])
+def test_median_matches_nanmedian_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-300, 1.0, 1e300):
+        a = rng.lognormal(size=n) * scale
+        a[rng.random(n) < 0.2] = 0.0
+        assert _median(a) == float(np.nanmedian(a))
+        a[: n // 2] = a[-1]  # ties
+        assert _median(a) == float(np.nanmedian(a))
 
 
 def test_non_convergence_reports_best_iterate(reference_model, sensed_scenario):
