@@ -3,6 +3,8 @@
 Stages: calibration residuals per pressure, resolved-rate inverse
 kinematics accuracy, contact detection on the pinned ramp, contact-location
 estimates from both initial guesses, and the ISA-difference sweep.
+Detection and estimation run the CLI's own stages, pipeline.detect and
+pipeline.estimate, so their numbers are the detect and estimate commands'.
 """
 
 import os
@@ -13,11 +15,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from bellowkin import centrode as ct
-from bellowkin import estimation as est
 from bellowkin import pipeline as pl
 from bellowkin.calibration import fit_modal, load_calibration_csv
-from bellowkin.cli import ONSET_GUARD
 from bellowkin.kinematics import resolved_rates, tip_pose
 
 
@@ -46,28 +45,14 @@ def main():
     print("== contact detection (s_c = 100 at 5 Psi, ramp to 20) ==")
     ramp = pl.PressureRamp(5.0, 20.0, 0.05)
     stream, _ = pl.simulate_contact(model, ramp, s_c=100.0, q_c=5.0)
-    sensed = ct.centrode_from_stream(stream)
-    model_trace = pl.model_centrode(model, ramp)
-    free = pl.simulate_free(model, ramp)
-    xi = ct.default_threshold(ct.centrode_from_stream(free), model_trace)
-    det = ct.fcd_detect(sensed, model_trace, xi=xi)
+    _, _, xi, det, onset_row = pl.detect(model, stream)
     print(f"  xi = {xi:.4g} LU; detected={det.detected} at t={det.onset_t} "
-          f"(q={stream.q[det.onset_t]} Psi), max deviation {det.max_deviation:.4g} LU")
+          f"(q={stream.q[onset_row]} Psi), max deviation {det.max_deviation:.4g} LU")
 
     print("== contact location estimation ==")
-    sub = stream.rows(slice(det.onset_t, None))
-    q_traj = sub.q
-    sensed_sub = ct.centrode_from_stream(sub)
-    # the window's first samples are left out of the fit, as estimate does
-    sensed_sub.valid[:ONSET_GUARD] = False
-    sensed_sub.cx[:ONSET_GUARD] = sensed_sub.cz[:ONSET_GUARD] = np.nan
-    end_pose = (float(sub.x[-1]), float(sub.z[-1]))
     for s0 in (200.0, 20.0):
         t0 = time.time()
-        problem = est.EstimationProblem(model=model, q_traj=q_traj,
-                                        sensed=sensed_sub, s0=s0,
-                                        sensed_end_pose=end_pose)
-        s_c_est, rep = est.estimate_contact(problem)
+        s_c_est, rep = pl.estimate(model, stream, s0, onset_row=onset_row)
         print(f"  s0={s0:>5.0f}: s_c = {s_c_est:.3f} LU in {rep['iterations']} iters, "
               f"end-tip error {rep['end_tip_error_LU']:.4g} LU "
               f"({time.time() - t0:.2f} s)")

@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import centrode as ct
-from . import estimation as est
 from . import pipeline as pl
 from .calibration import RankDeficientError, fit_modal, load_calibration_csv
+from .estimation import LM_MAX_ITER
 from .io import write_columns, write_json, write_text
 from .modal import DEFAULT_UNIT_SCALE, ModalModel
 
@@ -30,29 +30,17 @@ EXIT_IO = 1
 EXIT_RANK = 2
 EXIT_NOCONV = 3
 
-# sensed samples at an estimate window's start left out of the fit: the tip
-# jumps at onset, so samples differenced across it are wrong.  Three is the
-# stencil's half-width (1) plus detection's largest early lag (2 samples)
-ONSET_GUARD = 3
-
 
 def _load_model(path) -> ModalModel:
     with open(path) as f:
         return ModalModel.from_json(f.read())
 
 
-def _parse_contact(text: str):
-    """'100@5' -> (s_c=100, q_c=5)."""
-    parts = text.split("@")
+def _parse_pair(text: str, sep: str, form: str):
+    """'100@5' -> (100, 5) for sep '@'; form is the flag's form, for errors."""
+    parts = text.split(sep)
     if len(parts) != 2:
-        raise ValueError(f"contact spec must be s_c@q_c, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_bounds(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"bounds must be lo:hi, got {text!r}")
+        raise ValueError(f"{form}, got {text!r}")
     return float(parts[0]), float(parts[1])
 
 
@@ -80,7 +68,7 @@ def cmd_simulate(args) -> int:
     ramp = pl.PressureRamp.parse(args.ramp)
     contact_state = None
     if args.contact is not None:
-        s_c, q_c = _parse_contact(args.contact)
+        s_c, q_c = _parse_pair(args.contact, "@", "contact spec must be s_c@q_c")
         stream, contact_state = pl.simulate_contact(model, ramp, s_c, q_c)
     else:
         stream = pl.simulate_free(model, ramp)
@@ -107,38 +95,37 @@ def _row_of_t(stream: ct.PoseStream, t: int, source: str) -> int:
 def cmd_detect(args) -> int:
     model = _load_model(args.model)
     stream = ct.read_pose_stream(args.stream)
-    if stream.t.size < 3:
-        raise ValueError("stream too short to difference (need >= 3)")
-    sensed = ct.centrode_from_stream(stream)
-    # one kernel pass at the stream's own pressures gives the model
-    # centrode (which does not depend on the pressure rate, so a
-    # non-uniform schedule is exact) and the free reference poses
-    kin = pl.free_kinematics(model, stream.q)
-    model_trace = pl.model_centrode(model, stream.q, kinematics=kin)
-    xi = args.xi
-    if xi is None:
-        # noise floor of differencing vs analytic centrode on a free run
-        # sampled at the stream's t
-        free = pl.simulate_free(model, stream.q, kinematics=kin)
-        xi = ct.default_threshold(
-            ct.centrode_from_stream(free._replace(t=stream.t)), model_trace)
-    detection = ct.fcd_detect(sensed, model_trace, xi=xi,
-                              window=args.window, t=stream.t)
-    q_at_onset = (float(stream.q[_row_of_t(stream, detection.onset_t,
-                                           "onset_t")])
-                  if detection.detected else None)
+    sensed, modeled, xi, result, row = pl.detect(model, stream, xi=args.xi,
+                                                 window=args.window)
     out = _out_dir(args)
     ct.write_centrode(out("sensed_centrode.csv"), sensed, stream.t)
-    ct.write_centrode(out("model_centrode.csv"), model_trace, stream.t)
+    ct.write_centrode(out("model_centrode.csv"), modeled, stream.t)
     write_json(out("detection.json"), {
-        "detected": detection.detected,
-        "onset_t": int(detection.onset_t) if detection.detected else None,
-        "q_at_onset": q_at_onset,
-        "max_deviation": detection.max_deviation,
+        "detected": result.detected,
+        "onset_t": result.onset_t if result.detected else None,
+        "q_at_onset": float(stream.q[row]) if result.detected else None,
+        "max_deviation": result.max_deviation,
     })
-    print(f"detected={detection.detected} onset_t={detection.onset_t} "
-          f"xi={xi:.6g} max_dev={detection.max_deviation:.6g}")
+    print(f"detected={result.detected} onset_t={result.onset_t} "
+          f"xi={xi:.6g} max_dev={result.max_deviation:.6g}")
     return EXIT_OK
+
+
+def _detected_onset_t(path) -> int:
+    """The onset t a detection.json reports: an object whose "detected" is
+    true (a boolean) and whose "onset_t" is an integer (not a boolean)."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not (isinstance(doc, dict) and isinstance(doc.get("detected"), bool)):
+        raise ValueError("detection result must be a JSON object with a "
+                         "boolean \"detected\"")
+    if not doc["detected"]:
+        raise ValueError("detection result reports no contact")
+    onset_t = doc.get("onset_t")
+    if not isinstance(onset_t, int) or isinstance(onset_t, bool):
+        raise ValueError(f"detection result's onset_t must be an integer, "
+                         f"got {json.dumps(onset_t)}")
+    return onset_t
 
 
 def cmd_estimate(args) -> int:
@@ -149,33 +136,17 @@ def cmd_estimate(args) -> int:
     if args.onset_t is not None:
         onset = _row_of_t(stream, args.onset_t, "--onset-t")
     elif args.detection is not None:
-        with open(args.detection) as f:
-            doc = json.load(f)
-        if not doc.get("detected", False):
-            raise ValueError("detection result reports no contact")
-        onset = _row_of_t(stream, int(doc["onset_t"]), "detected onset_t")
-    sub = stream.rows(slice(onset, None))
-    if sub.t.size < ONSET_GUARD + 1:
-        raise ValueError(f"post-onset stream too short (need >= {ONSET_GUARD + 1})")
-    sensed = ct.centrode_from_stream(sub)
-    # out of the fit; the pin still starts at the window's first pressure
-    sensed.valid[:ONSET_GUARD] = False
-    sensed.cx[:ONSET_GUARD] = sensed.cz[:ONSET_GUARD] = np.nan
-    bounds = _parse_bounds(args.bounds) if args.bounds else None
-    W = est.speed_weights(sensed) if args.speed_weights else None
-    problem = est.EstimationProblem(
-        model=model, q_traj=sub.q, sensed=sensed, s0=args.s0, W=W,
-        bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
-    # raises when no sample is valid on both the sensed and model side
-    s_c_est, report = est.estimate_contact(problem, max_iter=args.max_iter)
+        onset = _row_of_t(stream, _detected_onset_t(args.detection),
+                          "detected onset_t")
+    s_c_est, report = pl.estimate(
+        model, stream, args.s0, onset_row=onset,
+        bounds=(_parse_pair(args.bounds, ":", "bounds must be lo:hi")
+                if args.bounds else None),
+        speed_weights=args.speed_weights, max_iter=args.max_iter)
     out = _out_dir(args)
-    write_json(out("estimation.json"), {
-        "s_c_est": report["s_c_est"],
-        "iterations": report["iterations"],
-        "final_objective": report["final_objective"],
-        "end_tip_error_LU": report["end_tip_error_LU"],
-        "converged": report["converged"],
-    })
+    write_json(out("estimation.json"), {k: report[k] for k in (
+        "s_c_est", "iterations", "final_objective", "end_tip_error_LU",
+        "converged")})
     write_columns(out("estimate_iters.csv"), ["iter", "s_c", "objective"],
                   ["%d", "%.17g", "%.17g"], list(zip(*report["trace"])))
     print(f"s_c_est={s_c_est:.6g} iterations={report['iterations']} "
@@ -246,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "reports it (default: the first sample)")
     e.add_argument("--s0", type=float, required=True)
     e.add_argument("--bounds", default=None, help="lo:hi LU")
-    e.add_argument("--max-iter", type=int, default=est.LM_MAX_ITER)
+    e.add_argument("--max-iter", type=int, default=LM_MAX_ITER)
     e.add_argument("--speed-weights", action="store_true")
     e.add_argument("--out-dir", required=True)
     e.set_defaults(fn=cmd_estimate)

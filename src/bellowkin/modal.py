@@ -110,15 +110,48 @@ class ModalModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ModalModel":
+        """The model of to_json's text (or of raw coefficients, with
+        "normalized": false).  A document that is not an object, or a
+        field that is missing or of the wrong kind, raises ValueError
+        naming the field."""
         doc = json.loads(text)
-        v, w = int(doc["v"]), int(doc["w"])
-        A = np.asarray(doc["A"], dtype=float).reshape(v, w)
-        L = float(doc["L"])
-        q_range = tuple(doc["q_range"]) if doc.get("q_range") is not None else None
+        if not isinstance(doc, dict):
+            raise ValueError("model must be a JSON object")
+        v, w = (_doc_field(doc, k, _positive_int, "a positive integer")
+                for k in ("v", "w"))
+        A = _doc_field(doc, "A", lambda a: np.asarray(a, dtype=float)
+                       .reshape(v, w), f"{v * w} numbers")
+        L, unit_scale = (_doc_field(doc, k, float, "a number")
+                         for k in ("L", "unit_scale"))
+        q_range = None
+        if doc.get("q_range") is not None:
+            q_range = _doc_field(doc, "q_range", _number_pair, "two numbers")
         if not doc.get("normalized", True):
-            return cls.from_raw(A, L, unit_scale=float(doc["unit_scale"]),
-                                q_range=q_range)
-        return cls(A=A, L=L, unit_scale=float(doc["unit_scale"]), q_range=q_range)
+            return cls.from_raw(A, L, unit_scale=unit_scale, q_range=q_range)
+        return cls(A=A, L=L, unit_scale=unit_scale, q_range=q_range)
+
+
+def _positive_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise TypeError
+    return x
+
+
+def _number_pair(x) -> tuple:
+    if (not isinstance(x, list) or len(x) != 2
+            or any(isinstance(y, bool) or not isinstance(y, (int, float))
+                   for y in x)):
+        raise TypeError
+    return tuple(map(float, x))
+
+
+def _doc_field(doc: dict, key: str, convert, what: str):
+    """convert(doc[key]); a missing key or a value convert refuses raises
+    ValueError naming the field."""
+    try:
+        return convert(doc[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"model field {key!r} must be {what}") from None
 
 
 def _eta_cols(q: np.ndarray, w: int) -> np.ndarray:

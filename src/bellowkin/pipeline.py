@@ -1,27 +1,35 @@
-"""Ramp simulation and the contact-location sweep.
+"""Ramp simulation, the detect and estimate stages, and the sweep.
 
 Streams are quasi-static: pressure steps play the role of time, one sample
 per step.  Simulated contact freezes the proximal shape at onset and keeps
 the distal portion bending, so a sensed stream diverges from the free-model
 prediction and the centrode machinery can detect and localize the pin.
+detect and estimate are the CLI stages of those names, policy included.
 The sweep reads every location off one contact.RampPins: the ramp's
 pressure factor and onset check are built once per sweep, and each
 location builds only its pin's and distal arc's factors.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import modal
-from .centrode import CentrodeTrace, PoseStream, instant_centers
+from . import estimation, modal
+from .centrode import (DEFAULT_WINDOW, CentrodeTrace, DetectionResult,
+                       PoseStream, centrode_from_stream, default_threshold,
+                       fcd_detect, instant_centers)
 from .contact import RampPins, contact_kinematics, freeze
-from .estimation import _ramp_values
 from .kinematics import RampKinematics, ramp_kinematics, wrap_angles
 
 # the ramp kernel holds three (field rows x samples) float arrays at a
 # time, 26 rows of 8 bytes per sample each: about 62 MB at the cap
 MAX_RAMP_SAMPLES = 100_000
+
+# sensed samples at an estimate window's start left out of the fit: the tip
+# jumps at onset, so samples differenced across it are wrong.  Three is the
+# stencil's half-width (1) plus detection's largest early lag (2 samples)
+ONSET_GUARD = 3
 
 
 @dataclass(frozen=True)
@@ -76,26 +84,19 @@ def _pressures(ramp):
     return q, (float(q[1] - q[0]) if q.size > 1 else 1.0)
 
 
-def free_kinematics(model: modal.ModalModel, ramp) -> RampKinematics:
-    """Free tip poses and twists along the ramp (a PressureRamp or an array
-    of pressures), twists at the ramp's pressure rate per sample step."""
-    q, qdot = _pressures(ramp)
-    return ramp_kinematics(model, q, qdot=qdot)
-
-
 def simulate_free(model: modal.ModalModel, ramp,
                   kinematics: RampKinematics = None) -> PoseStream:
     """Tip-pose stream of an unobstructed pressurization.
 
     ramp is a PressureRamp or an array of pressures, one sample each;
-    kinematics is its free_kinematics when already at hand (poses do not
+    kinematics is its ramp_kinematics when already at hand (poses do not
     depend on the pressure rate), so one kernel pass can serve both this
     and model_centrode.
     """
     q, _ = _pressures(ramp)
     k = kinematics
     if k is None:
-        k = free_kinematics(model, q)
+        k = ramp_kinematics(model, q)
     return PoseStream(t=np.arange(q.size), q=q, x=k.x, z=k.z, theta=k.theta)
 
 
@@ -146,11 +147,68 @@ def model_centrode(model: modal.ModalModel, ramp,
                    kinematics: RampKinematics = None) -> CentrodeTrace:
     """Free-motion centrode trace from analytic twists along the ramp (a
     PressureRamp or an array of pressures); kinematics is its
-    free_kinematics when already at hand."""
+    ramp_kinematics, twists at the ramp's pressure rate per sample step,
+    when already at hand."""
     k = kinematics
     if k is None:
-        k = free_kinematics(model, ramp)
+        k = ramp_kinematics(model, *_pressures(ramp))
     return instant_centers(k.x, k.z, k.vx, k.vz, k.omega)
+
+
+class Detection(NamedTuple):
+    """detect's two traces, its xi, its result and the onset's row (or None)."""
+
+    sensed: CentrodeTrace
+    modeled: CentrodeTrace
+    xi: float
+    result: DetectionResult
+    onset_row: int | None
+
+
+def detect(model: modal.ModalModel, stream: PoseStream, xi: float = None,
+           window: int = DEFAULT_WINDOW) -> Detection:
+    """Fixed-centrode deviation from the free model at the stream's own
+    pressures; xi by default a free run's noise floor (default_threshold)."""
+    if stream.t.size < 3:
+        raise ValueError("stream too short to difference (need >= 3)")
+    sensed = centrode_from_stream(stream)
+    # one kernel pass at the stream's own pressures gives the model
+    # centrode (which does not depend on the pressure rate, so a
+    # non-uniform schedule is exact) and the free reference poses
+    kin = ramp_kinematics(model, *_pressures(stream.q))
+    modeled = model_centrode(model, stream.q, kinematics=kin)
+    if xi is None:
+        # noise floor of differencing vs analytic centrode on a free run
+        # sampled at the stream's t
+        free = simulate_free(model, stream.q, kinematics=kin)
+        xi = default_threshold(
+            centrode_from_stream(free._replace(t=stream.t)), modeled)
+    result = fcd_detect(sensed, modeled, xi=xi, window=window, t=stream.t)
+    # t is strictly increasing, or centrode_from_stream would have raised
+    row = int(np.searchsorted(stream.t, result.onset_t)) if result.detected else None
+    return Detection(sensed, modeled, xi, result, row)
+
+
+def estimate(model: modal.ModalModel, stream: PoseStream, s0: float,
+             onset_row: int = 0, bounds: tuple = None,
+             speed_weights: bool = False,
+             max_iter: int = estimation.LM_MAX_ITER):
+    """estimate_contact's (s_c_est, report) on the rows from onset_row on,
+    pinned at that row's pressure, the first ONSET_GUARD sensed samples
+    out of the fit and the end-tip error at the last pose."""
+    sub = stream.rows(slice(onset_row, None))
+    if sub.t.size < ONSET_GUARD + 1:
+        raise ValueError(f"post-onset stream too short (need >= {ONSET_GUARD + 1})")
+    sensed = centrode_from_stream(sub)
+    # out of the fit; the pin still starts at the window's first pressure
+    sensed.valid[:ONSET_GUARD] = False
+    sensed.cx[:ONSET_GUARD] = sensed.cz[:ONSET_GUARD] = np.nan
+    W = estimation.speed_weights(sensed) if speed_weights else None
+    problem = estimation.EstimationProblem(
+        model=model, q_traj=sub.q, sensed=sensed, s0=s0, W=W,
+        bounds=bounds, sensed_end_pose=(float(sub.x[-1]), float(sub.z[-1])))
+    # raises when no sample is valid on both the sensed and model side
+    return estimation.estimate_contact(problem, max_iter=max_iter)
 
 
 def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
@@ -165,7 +223,7 @@ def sweep(model: modal.ModalModel, ramp: PressureRamp, s_values) -> list:
     """
     q, _ = _pressures(ramp)
     free = model_centrode(model, ramp)
-    pins = RampPins(model, _ramp_values(q))
+    pins = RampPins(model, estimation._ramp_values(q))
     rows = []
     for s_c in map(float, s_values):
         index = 0.0

@@ -8,7 +8,8 @@ import pytest
 
 from bellowkin import centrode as ct
 from bellowkin import pipeline as pl
-from bellowkin.cli import ONSET_GUARD, main
+from bellowkin.cli import main
+from bellowkin.pipeline import ONSET_GUARD
 from bellowkin.modal import ModalModel
 from tests.conftest import DATA_CSV
 
@@ -382,6 +383,34 @@ def test_onset_t_not_in_stream_exit_1(workdir, tmp_path, capsys):
     assert err == "estimate: --onset-t 5000 is not a t of the stream\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"detected": True, "onset_t": None}, "onset_t must be an integer, got null"),
+    ([1, 2], 'must be a JSON object with a boolean "detected"'),
+    ("x", 'must be a JSON object with a boolean "detected"'),
+    ({"detected": True, "onset_t": 1.7}, "onset_t must be an integer, got 1.7"),
+    ({"detected": True, "onset_t": "3"}, 'onset_t must be an integer, got "3"'),
+    ({"detected": True, "onset_t": True}, "onset_t must be an integer, got true"),
+    ({"detected": True}, "onset_t must be an integer, got null"),
+    ({"detected": 1, "onset_t": 3}, 'a boolean "detected"'),
+    ({"onset_t": 3}, 'a boolean "detected"'),
+    ({"detected": False, "onset_t": None}, "reports no contact"),
+], ids=["null_onset", "list", "string", "float_onset", "text_onset",
+        "bool_onset", "no_onset", "number_detected", "no_detected",
+        "not_detected"])
+def test_malformed_detection_exit_1(workdir, tmp_path, capsys, doc, message):
+    path = tmp_path / "detection.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "est"
+    assert run(["estimate", "--model", workdir["model"], "--stream",
+                os.path.join(workdir["sim"], "pose_stream.csv"),
+                "--detection", str(path), "--s0", "200",
+                "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("estimate: detection result") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("0,5,0,0,0\n1,5.05,0.1,0\n2,5.1,0.2,0,0\n",
      "pose-stream row 2: 4 fields, expected 5"),
@@ -549,6 +578,36 @@ def test_non_finite_model_exit_1(workdir, tmp_path, capsys, stage, key, value,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"v": None}, "model field 'v' must be a positive integer"),
+    ([1], "model must be a JSON object"),
+    ({"q_range": 5}, "model field 'q_range' must be two numbers"),
+    ({"q_range": [5.0, "20"]}, "model field 'q_range' must be two numbers"),
+    ({"w": 2.5}, "model field 'w' must be a positive integer"),
+    ({"v": -1}, "model field 'v' must be a positive integer"),
+    ({"w": True}, "model field 'w' must be a positive integer"),
+    ({"A": {"a": 1}}, "model field 'A' must be 9 numbers"),
+    ({"A": [0.0] * 8}, "model field 'A' must be 9 numbers"),
+    ({"L": None}, "model field 'L' must be a number"),
+    ({"unit_scale": [1]}, "model field 'unit_scale' must be a number"),
+], ids=["null_v", "list", "number_q_range", "text_in_q_range", "float_w",
+        "negative_v", "bool_w", "object_A", "short_A", "null_L",
+        "list_unit_scale"])
+@pytest.mark.parametrize("stage", ["simulate", "detect", "estimate", "sweep"])
+def test_malformed_model_exit_1(workdir, tmp_path, capsys, stage, edit,
+                                message):
+    doc = json.load(open(workdir["model"]))
+    doc = edit if isinstance(edit, list) else {**doc, **edit}
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    argv = stage_argv(workdir, stage, tmp_path / "out")
+    argv[argv.index("--model") + 1] = str(bad)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"{stage}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_closure(workdir, tmp_path):
     # simulate -> detect -> estimate recovers a mid-span truth within 1 LU
     truth = 330.0
@@ -594,8 +653,9 @@ def test_estimate_skips_samples_differenced_across_the_onset(
 def test_detection_reports_onset_at_most_two_samples_early(reference_model):
     # ONSET_GUARD leaves out the stencil's half-width (1) plus detection's
     # largest early lag: the reported onset is never after the first
-    # pinned sample and at most ONSET_GUARD - 1 samples before it.  Run as
-    # detect runs it, on 6 on-grid and 12 off-grid q_c per (step, s_c)
+    # pinned sample and at most ONSET_GUARD - 1 samples before it.  Run
+    # through detect's own stage, on 6 on-grid and 12 off-grid q_c per
+    # (step, s_c)
     rng = np.random.default_rng(2108)
     for step in (0.1, 0.05, 0.025):
         ramp = pl.PressureRamp(5.0, 20.0, step)
@@ -603,15 +663,7 @@ def test_detection_reports_onset_at_most_two_samples_early(reference_model):
             q_cs = [5.0, 6.0, 8.0, 10.0, 12.0, 15.0, *rng.uniform(5.0, 15.0, 12)]
             for q_c in q_cs:
                 stream, _ = pl.simulate_contact(reference_model, ramp, s_c, q_c)
-                kin = pl.free_kinematics(reference_model, stream.q)
-                model_trace = pl.model_centrode(reference_model, stream.q,
-                                                kinematics=kin)
-                free = pl.simulate_free(reference_model, stream.q,
-                                        kinematics=kin)
-                xi = ct.default_threshold(ct.centrode_from_stream(free),
-                                          model_trace)
-                det = ct.fcd_detect(ct.centrode_from_stream(stream),
-                                    model_trace, xi=xi, t=stream.t)
+                det = pl.detect(reference_model, stream).result
                 first_pinned = int(np.argmax(stream.q >= q_c))
                 assert det.detected, (step, s_c, q_c)
                 gap = first_pinned - det.onset_t
