@@ -36,12 +36,13 @@ def _load_model(path) -> ModalModel:
         return ModalModel.from_json(f.read())
 
 
-def _parse_pair(text: str, sep: str, form: str):
-    """'100@5' -> (100, 5) for sep '@'; form is the flag's form, for errors."""
+def _parse_pair(text: str, sep: str, flag: str, names: tuple):
+    """'100@5' -> (100, 5) for sep '@'; flag and the two field names
+    name what is wrong in errors."""
     parts = text.split(sep)
     if len(parts) != 2:
-        raise ValueError(f"{form}, got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"{flag} must be {sep.join(names)}, got {text!r}")
+    return tuple(pl._number(p, f"{flag} {n}") for p, n in zip(parts, names))
 
 
 def _out_dir(args):
@@ -68,7 +69,7 @@ def cmd_simulate(args) -> int:
     ramp = pl.PressureRamp.parse(args.ramp)
     contact_state = None
     if args.contact is not None:
-        s_c, q_c = _parse_pair(args.contact, "@", "contact spec must be s_c@q_c")
+        s_c, q_c = _parse_pair(args.contact, "@", "--contact", ("s_c", "q_c"))
         stream, contact_state = pl.simulate_contact(model, ramp, s_c, q_c)
     else:
         stream = pl.simulate_free(model, ramp)
@@ -140,7 +141,7 @@ def cmd_estimate(args) -> int:
                           "detected onset_t")
     s_c_est, report = pl.estimate(
         model, stream, args.s0, onset_row=onset,
-        bounds=(_parse_pair(args.bounds, ":", "bounds must be lo:hi")
+        bounds=(_parse_pair(args.bounds, ":", "--bounds", ("lo", "hi"))
                 if args.bounds else None),
         speed_weights=args.speed_weights, max_iter=args.max_iter)
     out = _out_dir(args)
@@ -158,7 +159,8 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     model = _load_model(args.model)
     ramp = pl.PressureRamp.parse(args.ramp)
-    s_values = [float(v) for v in args.s_values.split(",") if v.strip()]
+    s_values = [pl._number(v, "--s-values entry")
+                for v in args.s_values.split(",") if v.strip()]
     if not s_values:
         raise ValueError("empty --s-values")
     outside = [s for s in s_values if not 0.0 <= s < model.L]

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import modal
 from .centrode import CentrodeTrace, instant_centers
-from .kinematics import (PlanarPose, RampKinematics, arc_field,
+from .kinematics import (PlanarPose, RampKinematics, _arc_sums, arc_field,
                          arc_kinematics, arc_rows)
 
 _Q_TOL = 1e-12
@@ -78,17 +78,21 @@ def _pin(model: modal.ModalModel, q_c: float, s_c: float, eta,
     integrated over [0, s_c] on the ramp kernel's arc rule."""
     if not (0.0 < s_c < model.L):
         raise ValueError(f"s_c must lie strictly inside (0, {model.L})")
-    # pose-only sums: arc_kinematics's twist and wrap make freeze 1.5x slower
+    # the kernel's pose-only sums on the one column: the pin needs no
+    # twist, and PlanarPose wraps the station's angle
     th, wts = arc_field(model, s_c, (eta,), psi)
     th = th[:, 0]
-    pose = PlanarPose(x=float(wts @ np.cos(th[2:])),
-                      z=float(wts @ np.sin(th[2:])), theta=float(th[1]))
+    x, z = _arc_sums(th[2:], None, wts)
+    pose = PlanarPose(x=float(x), z=float(z), theta=float(th[1]))
     return ContactState(s_c=float(s_c), q_c=float(q_c), base_pose_c=pose)
 
 
 def freeze(model: modal.ModalModel, q_c: float, s_c: float) -> ContactState:
     """Record the proximal shape at contact onset: the pose of the contact
-    station, integrated from theta(s, q_c) over [0, s_c]."""
+    station, integrated from theta(s, q_c) over [0, s_c].  A non-finite
+    q_c raises ValueError before the field is read."""
+    if not math.isfinite(q_c):
+        raise ValueError(f"contact pressure q_c must be finite, got {q_c}")
     eta, = modal.pressure_factor(model, [q_c], deriv=False)
     return _pin(model, q_c, s_c, eta)
 

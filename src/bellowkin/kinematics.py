@@ -1,15 +1,19 @@
 """Forward and instantaneous kinematics of the planar bellow actuator.
 
 arc_kinematics integrates a tangent field over an arc from a base point:
-the end pose and twist at every pressure of a ramp.  ramp_kinematics is
-the free backbone, the arc [0, L] from the origin; tip_pose, jacobian and
-resolved_rates read single samples of it.  The field on an arc is the
-product of a pressure-free arc factor and an arc-free pressure factor
+the end pose and twist at every pressure of a ramp.  Its positions and
+their rates come from _arc_sums, the one pose-and-twist sum, which the
+callers that need no end angle read directly.  ramp_kinematics is the
+free backbone, the arc [0, L] from the origin; tip_pose and jacobian read
+single samples of it.  The field on an arc is the product of a
+pressure-free arc factor and an arc-free pressure factor
 (modal.arc_factor, modal.pressure_factor, modal._field), and arc_field
-takes the pressure factor prebuilt: resolved_rates builds the free arc's
-factor once per solve and reads one pressure column per iteration, and a
-caller that reads many arcs at one ramp (contact.RampPins) builds the
-ramp's pressure factor and the arc rule's psi rows (arc_rows) once.
+takes the pressure factor prebuilt.  resolved_rates builds the free arc's
+factor once per solve, and each iteration puts one pressure column of it
+through _arc_sums: bit for bit a ramp_kinematics sample's x, z, vx and vz,
+without forming theta or omega.  A caller that reads many arcs at one
+ramp (contact.RampPins) builds the ramp's pressure factor and the arc
+rule's psi rows (arc_rows) once.
 
 Positions live in the bending plane with coordinates (x, z); the tangent
 angle is measured from the +x axis, so a straight actuator lies along +x.
@@ -104,24 +108,37 @@ class RampKinematics(NamedTuple):
     omega: np.ndarray
 
 
+def _arc_sums(th, g, wts) -> tuple:
+    """The kernel's one pose-and-twist sum: the weighted sums down the node
+    axis of the node rows th (theta) and, unless g is None, g
+    (dtheta/dq).  Returns the end position (x, z) of the arc from the
+    origin and, with g, its rate (vx, vz) at unit pressure rate, the exact
+    derivative of that discrete end position.  th and g are overwritten.
+    """
+    cos_t = np.cos(th)
+    sin_t = np.sin(th, out=th)
+    x, z = wts @ cos_t, wts @ sin_t
+    if g is None:
+        return x, z
+    vz = wts @ np.multiply(cos_t, g, out=cos_t)
+    vx = wts @ np.multiply(np.negative(sin_t, out=sin_t), g, out=sin_t)
+    return x, z, vx, vz
+
+
 def arc_kinematics(th, g, wts, x0=0.0, z0=0.0, qdot=1.0) -> RampKinematics:
     """End poses and twists of the arc whose field arc_field lays out:
     theta and dtheta/dq as (2 + nodes, samples) rows, integrated from the
     base point (x0, z0), twists at rate qdot.
 
-    Poses and twists are weighted sums down the node axis, and the twists
-    differentiate the same node layout, so they are the exact derivative
-    of the discrete end pose.  th and g are overwritten: a long ramp holds
-    three (rows x samples) arrays at a time instead of eight.
+    The end angle and its rate are the end row's; positions and their
+    rates are _arc_sums of the node rows, shifted to the base point and
+    scaled to the rate.  th and g are overwritten: a long ramp holds three
+    (rows x samples) arrays at a time instead of eight.
     """
     theta, omega = wrap_angles(th[1]), qdot * g[1]
-    th, g = th[2:], g[2:]
-    cos_t = np.cos(th)
-    sin_t = np.sin(th, out=th)
-    x, z = x0 + wts @ cos_t, z0 + wts @ sin_t
-    vz = qdot * (wts @ np.multiply(cos_t, g, out=cos_t))
-    vx = qdot * (wts @ np.multiply(np.negative(sin_t, out=sin_t), g, out=sin_t))
-    return RampKinematics(x=x, z=z, theta=theta, vx=vx, vz=vz, omega=omega)
+    x, z, vx, vz = _arc_sums(th[2:], g[2:], wts)
+    return RampKinematics(x=x0 + x, z=z0 + z, theta=theta, vx=qdot * vx,
+                          vz=qdot * vz, omega=omega)
 
 
 def ramp_kinematics(model: modal.ModalModel, q, qdot=1.0) -> RampKinematics:
@@ -167,9 +184,11 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     x_des must be one finite (x, z) pair, q0 finite, tol positive and
     finite and max_iter at least 0; anything else raises ValueError.
 
-    Each iteration is one sample of ramp_kinematics, bit for bit: the free
-    arc's factor, which does not depend on pressure, is built once, and
-    every iteration multiplies it by one pressure factor.
+    The free arc's factor, which does not depend on pressure, is built
+    once, and every iteration multiplies it by one pressure factor and
+    takes the kernel's pose-and-twist sum (_arc_sums) of the product:
+    bit for bit the x, z, vx and vz of a ramp_kinematics sample.  The tip
+    angle and its rate are not read, so they are not formed.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
@@ -190,10 +209,12 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
     best_q, best_err = q, math.inf
     converged = stalled = False
     for i in range(max_iter + 1):
-        # one kernel sample gives the tip position and its Jacobian
-        k = arc_kinematics(*modal._field(B, modal.pressure_factor(model, [q])),
-                           wts)
-        x, z = float(k.x[0]), float(k.z[0])
+        # the kernel's sums on one field read: the tip position, from the
+        # free arc's base point (0, 0) as arc_kinematics adds it, and its
+        # unit-rate Jacobian
+        th, g = modal._field(B, modal.pressure_factor(model, [q]))
+        x, z, vx, vz = _arc_sums(th[2:], g[2:], wts)
+        x, z = 0.0 + float(x[0]), 0.0 + float(z[0])
         e = x_des - np.array([x, z])
         err = float(np.hypot(e[0], e[1]))
         trace.append((i, q, x, z, err))
@@ -208,7 +229,7 @@ def resolved_rates(model: modal.ModalModel, x_des, q0: float, alpha: float = 0.5
             break
         if i == max_iter:
             break
-        J = np.array([k.vx[0], k.vz[0]])
+        J = np.array([vx[0], vz[0]])
         jj = float(J @ J)
         lam = 1e-6 * math.sqrt(jj)
         q = q + float(J @ (alpha * e)) / (jj + lam * lam)

@@ -32,6 +32,15 @@ MAX_RAMP_SAMPLES = 100_000
 ONSET_GUARD = 3
 
 
+def _number(text: str, what: str) -> float:
+    """float(text); text that is not a number raises ValueError naming
+    what it was given for."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class PressureRamp:
     """Uniform pressure schedule q_start..q_end inclusive, fixed step, of at
@@ -69,8 +78,8 @@ class PressureRamp:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"ramp spec must be start:end:step, got {text!r}")
-        return cls(q_start=float(parts[0]), q_end=float(parts[1]),
-                   step=float(parts[2]))
+        return cls(*(_number(p, f"ramp spec {name}")
+                     for p, name in zip(parts, ("start", "end", "step"))))
 
 
 def _pressures(ramp):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,51 @@ def test_ramp_over_sample_cap_exit_1(workdir, tmp_path, capsys, stage):
     assert run(argv + (["--s-values", "0,100"] if stage == "sweep" else [])) == 1
     err = capsys.readouterr().err
     assert err == f"{stage}: ramp of 1e+18 samples exceeds the 100000 sample cap\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q_c", ["nan", "inf", "-inf"])
+def test_non_finite_contact_pressure_exit_1(workdir, tmp_path, capsys, q_c):
+    # refused before the field is read, so no RuntimeWarning precedes it
+    out = tmp_path / "sim"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["simulate", "--model", workdir["model"], "--ramp",
+                    "5:6:0.1", "--contact", f"100@{q_c}",
+                    "--out-dir", str(out)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"simulate: contact pressure q_c must be finite, got {q_c}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    ("sweep", ["--ramp", "5:20:0.05", "--s-values", "1,x"],
+     "--s-values entry must be a number, got 'x'"),
+    ("estimate", ["--s0", "200", "--bounds", "1:x"],
+     "--bounds hi must be a number, got 'x'"),
+    ("estimate", ["--s0", "200", "--bounds", "1"],
+     "--bounds must be lo:hi, got '1'"),
+    ("simulate", ["--ramp", "5:x:0.05"],
+     "ramp spec end must be a number, got 'x'"),
+    ("sweep", ["--ramp", "x:20:0.05", "--s-values", "0"],
+     "ramp spec start must be a number, got 'x'"),
+    ("simulate", ["--ramp", "5:6:0.1", "--contact", "100@"],
+     "--contact q_c must be a number, got ''"),
+    ("simulate", ["--ramp", "5:6:0.1", "--contact", "@5"],
+     "--contact s_c must be a number, got ''"),
+    ("simulate", ["--ramp", "5:6:0.1", "--contact", "1@2@3"],
+     "--contact must be s_c@q_c, got '1@2@3'"),
+], ids=["s_values", "bounds_field", "bounds_form", "ramp_end", "ramp_start",
+        "contact_q_c", "contact_s_c", "contact_form"])
+def test_unparsable_number_names_its_flag(workdir, tmp_path, capsys, stage,
+                                          flags, message):
+    out = tmp_path / "out"
+    stream = ["--stream", os.path.join(workdir["sim"], "pose_stream.csv")]
+    assert run([stage, "--model", workdir["model"]]
+               + (stream if stage == "estimate" else []) + flags
+               + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"{stage}: {message}\n"
     assert not out.exists()
 
 

@@ -77,6 +77,12 @@ def test_freeze_rejects_out_of_range(reference_model):
             freeze(reference_model, 5.0, s_c)
 
 
+@pytest.mark.parametrize("q_c", [float("nan"), float("inf"), float("-inf")])
+def test_freeze_rejects_non_finite_pressure(reference_model, q_c):
+    with pytest.raises(ValueError, match="q_c must be finite"):
+        freeze(reference_model, q_c, 100.0)
+
+
 def test_pressure_release_rejected(reference_model):
     c = freeze(reference_model, 5.0, 100.0)
     with pytest.raises(ValueError, match="below contact onset"):

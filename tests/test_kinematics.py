@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bellowkin import modal
+from bellowkin import kinematics, modal
+from bellowkin.calibration import fit_modal
 from bellowkin.kinematics import (
     PlanarPose,
     jacobian,
@@ -13,7 +14,8 @@ from bellowkin.kinematics import (
     wrap_angle,
 )
 from bellowkin.modal import ModalModel, theta
-from bellowkin.synthetic import cumulative_stations
+from bellowkin.pipeline import PressureRamp, simulate_free
+from bellowkin.synthetic import cumulative_stations, make_reference_dataset
 from tests.conftest import make_random_model
 from tests.kinematics_reference import cc_pose, resolved_rates_loop
 
@@ -247,12 +249,40 @@ def test_resolved_rates_equals_the_ramp_kinematics_loop(reference_model):
         assert res == ref
 
 
+def _solve_bits(res):
+    """An RRResult with every float as its bit pattern, so -0.0 and 0.0
+    differ."""
+    return (res.q.hex(), res.err.hex(), res.converged, res.stalled,
+            res.iterations, np.array(res.trace, dtype=float).tobytes())
+
+
+@pytest.mark.parametrize("v, w, n_points", [(3, 3, 10), (3, 3, 40),
+                                            (4, 4, 20), (4, 4, 40)])
+def test_resolved_rates_equals_the_loop_on_benchmark_shaped_solves(v, w,
+                                                                   n_points):
+    # fits of generated markers, targets from a free 5:20:0.05 stream,
+    # q0 in [5, 20] and the default gains: bit for bit the whole-kernel
+    # loop, each solve within 1e-4 Psi of its row's pressure
+    model, _ = fit_modal(make_reference_dataset(n_points=n_points), v=v, w=w)
+    stream = simulate_free(model, PressureRamp(5.0, 20.0, 0.05))
+    rng = np.random.default_rng(100 * v + n_points)
+    for row, q0 in zip(rng.integers(0, stream.q.size, 40),
+                       rng.uniform(5.0, 20.0, 40)):
+        target = (stream.x[row], stream.z[row])
+        res = resolved_rates(model, target, q0=float(q0))
+        assert _solve_bits(res) == _solve_bits(
+            resolved_rates_loop(model, target, q0=float(q0)))
+        assert res.converged and abs(res.q - stream.q[row]) <= 1e-4
+
+
 def test_resolved_rates_builds_one_arc_factor_per_solve(reference_model,
                                                         monkeypatch):
-    # the free arc's pressure-free factor is built once per solve, and
-    # every iteration reads one pressure column of it
-    builds, reads = [], []
+    # the free arc's pressure-free factor is built once per solve, every
+    # iteration reads one pressure column of it, and no iteration wraps
+    # the tip angle it does not read
+    builds, reads, wraps = [], [], []
     arc_factor, field = modal.arc_factor, modal._field
+    wrap_angles = kinematics.wrap_angles
 
     def counting_factor(*args, **kwargs):
         builds.append(1)
@@ -262,16 +292,24 @@ def test_resolved_rates_builds_one_arc_factor_per_solve(reference_model,
         reads.append(1)
         return field(*args, **kwargs)
 
+    def counting_wrap(*args, **kwargs):
+        wraps.append(1)
+        return wrap_angles(*args, **kwargs)
+
     monkeypatch.setattr(modal, "arc_factor", counting_factor)
     monkeypatch.setattr(modal, "_field", counting_field)
+    monkeypatch.setattr(kinematics, "wrap_angles", counting_wrap)
     target = tip_pose(reference_model, 15.0).position
+    assert wraps == [1]  # the counter sees the kernel's wrap
     seen = set()
     for q0, max_iter in ((15.0, 200), (5.0, 3), (5.0, 200), (20.0, 1)):
         builds.clear()
         reads.clear()
+        wraps.clear()
         res = resolved_rates(reference_model, target, q0=q0, max_iter=max_iter)
         assert builds == [1]
         assert len(reads) == res.iterations + 1
+        assert wraps == []
         seen.add(res.iterations)
     assert len(seen) == 4
 
